@@ -58,6 +58,13 @@ enum class FaultKind {
   ResourceExhausted, ///< Memory budget exceeded at allocation time.
 };
 
+/// The runaway guard behind FaultKind::IterationGuard: one entry into a
+/// `while` statement may run this many body iterations; finishing the next
+/// one faults with Value = the count reached and Bound = this limit. The
+/// tree walk and the VM's back-edge op both test against it, so the two
+/// engines trip on the same iteration.
+constexpr int64_t WhileIterationGuard = 100000000;
+
 const char *faultKindName(FaultKind K);
 
 /// True for fault kinds that describe an exhausted *request* (deadline,
@@ -71,8 +78,8 @@ inline bool faultIsResourceLimit(FaultKind K) {
 
 /// Cooperative cancellation flag shared between a watchdog (the daemon's
 /// deadline scanner, mfpar's --deadline-ms thread) and the interpreter.
-/// cancel() is sticky; the interpreter polls cancelled() at iteration and
-/// chunk boundaries and raises a DeadlineExceeded fault through the normal
+/// cancel() is sticky; both engines poll cancelled() at every loop iteration
+/// and while back-edge and raise a DeadlineExceeded fault through the normal
 /// containment path (first-fault-wins publication, dispenser drain,
 /// write-set rollback), so a cancelled request leaves memory in its
 /// pre-loop state exactly like any other contained fault.

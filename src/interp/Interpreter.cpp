@@ -555,7 +555,7 @@ private:
 
   /// Cooperative deadline poll: raises a DeadlineExceeded fault once the
   /// run's cancel token fired. Polled at iteration granularity in every
-  /// execution loop (and at chunk granularity on the VM engine), so a blown
+  /// execution loop (the VM polls at the same points), so a blown
   /// deadline unwinds through the same containment machinery as any other
   /// runtime fault — workers drain, the transaction rolls back, and the
   /// caller gets a structured fault instead of a wedged thread. A no-op
@@ -989,14 +989,15 @@ private:
     }
     case StmtKind::While: {
       const auto *WS = cast<WhileStmt>(S);
-      unsigned Guard = 0;
+      int64_t Guard = 0;
       while (eval(WS->condition(), F).truthy()) {
         checkCancel(WS->loc(), F);
         execBody(WS->body(), F);
-        if (++Guard > 100000000u)
+        if (++Guard > WhileIterationGuard)
           fault(FaultKind::IterationGuard, WS->loc(), F,
                 "while loop exceeded the iteration guard",
-                /*Sym=*/nullptr, /*HasValue=*/true, Guard, 100000000);
+                /*Sym=*/nullptr, /*HasValue=*/true, Guard,
+                WhileIterationGuard);
       }
       return;
     }
@@ -1270,17 +1271,6 @@ private:
     auto RunChunk = [&](unsigned W, int64_t First, int64_t Last,
                         unsigned ChunkId) {
       trace::TraceScope ChunkSpan("chunk", "interp");
-      // Chunk-granularity deadline poll: covers the VM engine (whose chunk
-      // bodies cannot poll) and turns the dispenser drain a fired token
-      // causes into a structured fault instead of a silent partial run.
-      if (Cancel && Cancel->cancelled()) {
-        Frame FC;
-        FC.InParallel = true;
-        FC.CurLoop = DS;
-        FC.CurIter = First;
-        FC.Worker = W;
-        checkCancel(DS->loc(), FC);
-      }
       double ProfStartUs = Rec ? Rec->nowUs() : 0.0;
       Timer CT;
       WorkerState &WS = Workers[W];
@@ -1304,6 +1294,7 @@ private:
         VC.Last = Last;
         VC.Worker = W;
         VC.Injector = Opts.Injector;
+        VC.Cancel = Cancel;
         VC.Rec = ProfCur;
         VC.ProfSkip = &WS.ProfSkip;
         MaxIter = std::max(MaxIter, vm::runChunk(*VmProg, VC));

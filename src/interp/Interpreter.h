@@ -209,8 +209,8 @@ struct ExecOptions {
   /// register bytecode (bailing back to the tree walk per loop); Both runs
   /// the program on each engine and checks bit-identical results.
   ExecEngine Engine = ExecEngine::Interp;
-  /// Cooperative cancellation (request deadlines). When set, the
-  /// interpreter polls the token at iteration and chunk boundaries; a fired
+  /// Cooperative cancellation (request deadlines). When set, both engines
+  /// poll the token at every loop iteration and while back-edge; a fired
   /// token raises a DeadlineExceeded fault through the normal containment
   /// path — parallel loops drain the dispenser, roll back their write-set
   /// snapshot, and the run unwinds with faultState() reporting the

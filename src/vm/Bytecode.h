@@ -118,9 +118,14 @@ enum class Op : uint8_t {
 
   // Counted-loop support for nested do loops (step of either sign).
   LoopTest, ///< if (RI[C] > 0 ? RI[A] > RI[B] : RI[A] < RI[B]) pc = Imm
-  LoopBack, ///< RI[A] += RI[C]; if (!(done as above)) pc = Imm
+  LoopBack, ///< RI[A] += RI[C]; if (!(done as above)) { poll the deadline
+            ///< through Ctx; pc = Imm }
   FaultZeroStep, ///< Fault BadStep through Ctx when RI[B] == 0; A is the
                  ///< loop's index-variable slot, for fault attribution.
+
+  // While-loop back-edge: the condition is an ordinary JmpZ past the loop.
+  WhileBack, ///< if (++RI[A] > WhileIterationGuard) fault IterationGuard
+             ///< through Ctx; poll the deadline through Ctx; pc = Imm
 };
 
 const char *opName(Op K);

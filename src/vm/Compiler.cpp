@@ -116,7 +116,9 @@ const char *structuralWalk(const StmtList &Body, int Depth) {
     case StmtKind::Assign:
       break;
     case StmtKind::While:
-      return "while loop in body (unbounded trip count)";
+      if (const char *R = structuralWalk(cast<WhileStmt>(S)->body(), Depth))
+        return R;
+      break;
     case StmtKind::Call: {
       const auto *CS = cast<CallStmt>(S);
       if (!CS->callee())
@@ -164,6 +166,7 @@ public:
     P.Loop = Root;
     P.IterReg = allocI();
     P.IndexSlot = slotOf(Root->indexVar());
+    ScalarRegs[P.IndexSlot] = {Ty::I, P.IterReg};
     LoopStack.push_back(
         {Root->label().empty() ? "<unlabeled>" : Root->label(), P.IterReg});
     compileBody(Root->body(), 0);
@@ -237,13 +240,24 @@ private:
     return P.Code.size() - 1;
   }
 
-  void patchJump(size_t At) { P.Code[At].Imm = int64_t(P.Code.size()); }
+  /// Marks the next instruction as a jump target: control can arrive with
+  /// other register contents, so scalar values are reloaded after it.
+  size_t label() {
+    ScalarRegs.clear();
+    return P.Code.size();
+  }
+
+  void patchJump(size_t At) { P.Code[At].Imm = int64_t(label()); }
 
   /// Result of one compiled expression: its static type and register.
   struct RV {
     Ty T;
     uint16_t R;
   };
+
+  /// Register holding each scalar slot's current value, valid from the
+  /// last jump target up to the current emission point.
+  std::unordered_map<uint16_t, RV> ScalarRegs;
 
   uint16_t toI(RV V) {
     if (V.T == Ty::I)
@@ -342,14 +356,12 @@ private:
       if (S->isArray())
         bail("array referenced without subscripts");
       uint16_t Slot = slotOf(S);
-      if (S->elementKind() == ScalarKind::Int) {
-        uint16_t R = allocI();
-        emit(Op::LdScaI, R, Slot);
-        return {Ty::I, R};
-      }
-      uint16_t R = allocR();
-      emit(Op::LdScaD, R, Slot);
-      return {Ty::D, R};
+      if (auto It = ScalarRegs.find(Slot); It != ScalarRegs.end())
+        return It->second;
+      RV V = S->elementKind() == ScalarKind::Int ? RV{Ty::I, allocI()}
+                                                 : RV{Ty::D, allocR()};
+      emit(V.T == Ty::I ? Op::LdScaI : Op::LdScaD, V.R, Slot);
+      return ScalarRegs[Slot] = V;
     }
     case ExprKind::ArrayRef:
       return compileLoad(cast<ArrayRef>(E));
@@ -393,6 +405,15 @@ private:
     }
 
     RV L = compileExpr(BE->lhs());
+    // e + c and e - c on integers take the constant as an immediate.
+    if (const auto *C = dyn_cast<IntLit>(BE->rhs());
+        C && L.T == Ty::I &&
+        (BE->op() == BinaryOp::Add || BE->op() == BinaryOp::Sub)) {
+      uint16_t Dst = allocI();
+      emit(Op::AddIImm, Dst, L.R, 0, 0, 0, 0,
+           BE->op() == BinaryOp::Add ? C->value() : -C->value());
+      return {Ty::I, Dst};
+    }
     RV R = compileExpr(BE->rhs());
     bool BothInt = L.T == Ty::I && R.T == Ty::I;
 
@@ -463,8 +484,10 @@ private:
       if (S->isArray())
         bail("array assigned without subscripts");
       RV V = compileExpr(AS->rhs());
-      emit(S->elementKind() == ScalarKind::Int ? Op::StScaI : Op::StScaD,
-           slotOf(S), storeReg(V, S));
+      bool IsInt = S->elementKind() == ScalarKind::Int;
+      uint16_t Slot = slotOf(S), R = storeReg(V, S);
+      emit(IsInt ? Op::StScaI : Op::StScaD, Slot, R);
+      ScalarRegs[Slot] = {IsInt ? Ty::I : Ty::D, R};
       return;
     }
     const auto *AR = cast<ArrayRef>(AS->lhs());
@@ -532,7 +555,7 @@ private:
          ctxAt(AR->loc()));
   }
 
-  void compileDo(const DoStmt *DS) {
+  void compileDo(const DoStmt *DS, int Depth) {
     if (DS->indexVar()->elementKind() != ScalarKind::Int ||
         DS->indexVar()->isArray())
       bail("non-integer loop index variable");
@@ -550,18 +573,38 @@ private:
     uint16_t I = allocI();
     emit(Op::CopyI, I, Lo);
     size_t Test = emit(Op::LoopTest, I, Up, St);
-    size_t BodyStart = P.Code.size();
+    size_t BodyStart = label();
     emit(Op::StScaI, IndexSlot, I);
+    ScalarRegs[IndexSlot] = {Ty::I, I};
     LoopStack.push_back(
         {DS->label().empty() ? "<unlabeled>" : DS->label(), I});
-    compileBody(DS->body(), 0);
+    compileBody(DS->body(), Depth);
+    // The back-edge's deadline poll is attributed like the tree walk's
+    // poll at the top of an iteration: this loop, its next iteration.
+    emit(Op::LoopBack, I, Up, St, 0, 0, ctxAt(DS->loc()), int64_t(BodyStart));
     LoopStack.pop_back();
-    emit(Op::LoopBack, I, Up, St, 0, 0, 0, int64_t(BodyStart));
     patchJump(Test);
     // Fortran exit value: the index variable holds Lo + NIter*Step after a
     // loop that ran, and Lo when it never entered — exactly the register's
     // final value under this lowering.
     emit(Op::StScaI, IndexSlot, I);
+    ScalarRegs[IndexSlot] = {Ty::I, I};
+  }
+
+  /// while (c) body: the guard register restarts at 0 on every entry, the
+  /// condition branches past the loop, and one WhileBack op closes each
+  /// iteration — guard bump, deadline poll, jump to the condition. The
+  /// tree walk's checks happen at the same points with the same
+  /// attribution (the while's location, the innermost do loop).
+  void compileWhile(const WhileStmt *WS, int Depth) {
+    uint16_t Guard = allocI();
+    emit(Op::MovI, Guard);
+    size_t Head = label();
+    uint16_t C = truthy(compileExpr(WS->condition()));
+    size_t Exit = emit(Op::JmpZ, 0, C);
+    compileBody(WS->body(), Depth);
+    emit(Op::WhileBack, Guard, 0, 0, 0, 0, ctxAt(WS->loc()), int64_t(Head));
+    patchJump(Exit);
   }
 
   void compileBody(const StmtList &Body, int Depth) {
@@ -588,10 +631,11 @@ private:
         break;
       }
       case StmtKind::Do:
-        compileDo(cast<DoStmt>(S));
+        compileDo(cast<DoStmt>(S), Depth);
         break;
       case StmtKind::While:
-        bail("while loop in body (unbounded trip count)");
+        compileWhile(cast<WhileStmt>(S), Depth);
+        break;
       case StmtKind::Call: {
         const auto *CS = cast<CallStmt>(S);
         if (!CS->callee())
@@ -690,6 +734,7 @@ const char *vm::opName(Op K) {
   case Op::LoopTest: return "looptest";
   case Op::LoopBack: return "loopback";
   case Op::FaultZeroStep: return "ckstep";
+  case Op::WhileBack: return "whileback";
   }
   return "?";
 }

@@ -21,6 +21,10 @@ using namespace iaa::vm;
 
 namespace {
 
+/// The tree walk's detail text for a fired deadline token.
+const char *const DeadlineDetail =
+    "wall-clock deadline exceeded; run cancelled";
+
 /// One slot resolved against this chunk's memory view: the worker's private
 /// override when present, the shared global otherwise.
 struct ResolvedSlot {
@@ -84,6 +88,23 @@ struct Machine {
     throw FaultException(std::move(RF));
   }
 
+  /// Fault attributed to the chunk's own loop at outer iteration \p Iter,
+  /// as the tree walk raises it at the top of that iteration.
+  [[noreturn]] void rootFault(FaultKind Kind, std::string Detail,
+                              int64_t Iter) const {
+    RuntimeFault RF;
+    RF.Kind = Kind;
+    RF.Loc = Prog.Loop->loc();
+    RF.Range = SourceRange(RF.Loc);
+    RF.Loop = Prog.Loop->label().empty() ? "<unlabeled>" : Prog.Loop->label();
+    RF.HasIteration = true;
+    RF.Iteration = Iter;
+    RF.Worker = C.Worker;
+    RF.InParallel = true;
+    RF.Detail = std::move(Detail);
+    throw FaultException(std::move(RF));
+  }
+
   /// Rank-1 subscript check, identical to the tree walk's linearIndex.
   void check1(int64_t Sub, uint16_t Slot, uint16_t CtxId) const {
     const SlotInfo &S = Prog.Slots[Slot];
@@ -111,30 +132,21 @@ struct Machine {
                                       Slots[Slot].Size, IsWrite, C.Worker);
     };
 
-    const std::string RootLoop =
-        Prog.Loop->label().empty() ? "<unlabeled>" : Prog.Loop->label();
+    // Deadline polls test the pointer first, so a run without a deadline
+    // pays one predictable branch per poll.
+    const CancelToken *Cancel = C.Cancel;
     const Instr *Code = Prog.Code.data();
     int64_t MaxIter = std::numeric_limits<int64_t>::min();
 
     for (int64_t Pos = C.First; Pos <= C.Last; ++Pos) {
       int64_t Iter = C.Order ? (*C.Order)[Pos - C.Lo] : Pos;
 
-      if (C.Injector) {
+      if (Cancel && Cancel->cancelled())
+        rootFault(FaultKind::DeadlineExceeded, DeadlineDetail, Iter);
+      if (C.Injector)
         if (auto Inj = C.Injector->atIteration(Prog.Loop, Iter, C.Worker,
-                                               /*InParallel=*/true)) {
-          RuntimeFault RF;
-          RF.Kind = Inj->Kind;
-          RF.Loc = Prog.Loop->loc();
-          RF.Range = SourceRange(RF.Loc);
-          RF.Loop = RootLoop;
-          RF.HasIteration = true;
-          RF.Iteration = Iter;
-          RF.Worker = C.Worker;
-          RF.InParallel = true;
-          RF.Detail = Inj->Detail;
-          throw FaultException(std::move(RF));
-        }
-      }
+                                               /*InParallel=*/true))
+          rootFault(Inj->Kind, Inj->Detail, Iter);
 
       RI[Prog.IterReg] = Iter;
       Slots[Prog.IndexSlot].I[0] = Iter;
@@ -400,13 +412,25 @@ struct Machine {
           break;
         case Op::LoopBack:
           RI[In.A] += RI[In.C];
-          if (!(RI[In.C] > 0 ? RI[In.A] > RI[In.B] : RI[In.A] < RI[In.B]))
+          if (!(RI[In.C] > 0 ? RI[In.A] > RI[In.B] : RI[In.A] < RI[In.B])) {
+            if (Cancel && Cancel->cancelled())
+              fault(In.Ctx, FaultKind::DeadlineExceeded, DeadlineDetail);
             Pc = size_t(In.Imm);
+          }
           break;
         case Op::FaultZeroStep:
           if (RI[In.B] == 0)
             fault(In.Ctx, FaultKind::BadStep, "do loop with zero step",
                   Prog.Slots[In.A].Sym, /*HasValue=*/true, /*Value=*/0);
+          break;
+        case Op::WhileBack:
+          if (++RI[In.A] > WhileIterationGuard)
+            fault(In.Ctx, FaultKind::IterationGuard,
+                  "while loop exceeded the iteration guard", /*Sym=*/nullptr,
+                  /*HasValue=*/true, RI[In.A], WhileIterationGuard);
+          if (Cancel && Cancel->cancelled())
+            fault(In.Ctx, FaultKind::DeadlineExceeded, DeadlineDetail);
+          Pc = size_t(In.Imm);
           break;
         }
       }

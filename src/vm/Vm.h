@@ -51,6 +51,9 @@ struct ChunkContext {
   unsigned Worker = 0;
   /// Test-only fault injection (null in production).
   const interp::FaultInjectionHook *Injector = nullptr;
+  /// The run's deadline token (null without a deadline), polled at every
+  /// outer iteration and loop back-edge, where the tree walk polls.
+  const interp::CancelToken *Cancel = nullptr;
   /// Profiling recorder (null when off/light) and the worker's sampling
   /// countdown, kept across chunks like the interpreter's frame field.
   prof::LoopRecorder *Rec = nullptr;
@@ -60,8 +63,8 @@ struct ChunkContext {
 /// Runs \p Prog for every iteration of the chunk described by \p C and
 /// returns the highest *original* iteration number executed (the
 /// last-value writeback needs it under reordering). Faults — bounds,
-/// div-by-zero, bad step, injected — throw FaultException with the same
-/// attribution the tree walk produces.
+/// div-by-zero, bad step, while iteration guard, deadline, injected —
+/// throw FaultException with the same attribution the tree walk produces.
 int64_t runChunk(const LoopProgram &Prog, const ChunkContext &C);
 
 } // namespace vm

@@ -9,10 +9,13 @@
 /// differential oracle: --engine=both runs every program twice and demands
 /// bit-identical final-memory checksums (or matching fault kinds), across
 /// every schedule x thread-count combination, on the Fig. 16 benchmark
-/// reconstructions, the recurrence-promoted kernels, conditional-dispatch
-/// loops (inspection pass and fail), a locality-reordered dispatch, and a
-/// mid-chunk fault with rollback + serial replay. Compiler-level tests pin
-/// the fusion peepholes and the bailout taxonomy.
+/// reconstructions and Fig. 1(a)'s while loop, the recurrence-promoted
+/// kernels, conditional-dispatch loops (inspection pass and fail), a
+/// locality-reordered dispatch, and a mid-chunk fault with rollback +
+/// serial replay. Compiler-level tests pin the fusion and scalar
+/// peepholes, while lowering and the bailout taxonomy; fault tests pin
+/// tree-walk attribution inside while bodies and deadline polls inside long
+/// VM chunks.
 ///
 /// Suite names here start with "Vm" so the CI ThreadSanitizer job's
 /// --gtest_filter picks them up.
@@ -28,8 +31,11 @@
 #include "vm/Compiler.h"
 #include "xform/Parallelizer.h"
 
+#include <algorithm>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 
 using namespace iaa;
 using namespace iaa::interp;
@@ -207,29 +213,108 @@ TEST(VmCompile, PureGatherLowersToGth) {
   EXPECT_NE(R.Prog.str().find("gthd"), std::string::npos) << R.Prog.str();
 }
 
-TEST(VmCompile, BailoutTaxonomy) {
-  // While loops (unbounded trip count) are the canonical structural
-  // bailout; the xform pre-check and the compiler must agree.
+TEST(VmCompile, ScalarReloadsAndConstantAddsFold) {
+  // Within straight-line code a scalar is loaded at most once: i comes from
+  // the iteration register, k from the register just stored to it. e +- c
+  // takes c as an immediate. After the if's join, k is loaded again.
   auto P = parseOrDie(R"(program t
     integer i, n, k
     real x(100)
     n = 100
     lp: do i = 1, n
-      k = 1
-      while (k < 3)
-        x(i) = x(i) + 1.0
-        k = k + 1
-      end while
+      k = i + 1
+      x(i) = k - 2 + k
+      if (k > 50) then
+        k = 0
+      end if
+      x(i) = x(i) + k
     end do
   end)");
   const DoStmt *L = P->findLoop("lp");
   ASSERT_NE(L, nullptr);
+  vm::CompileResult R = vm::compileLoop(L, extentsOf(*P));
+  ASSERT_TRUE(R.Ok) << R.Bailout;
+  std::string Dis = R.Prog.str();
+  auto Count = [&](const std::string &Op) {
+    size_t N = 0;
+    for (size_t At = Dis.find(": " + Op + " "); At != std::string::npos;
+         At = Dis.find(": " + Op + " ", At + 1))
+      ++N;
+    return N;
+  };
+  EXPECT_EQ(Count("addiimm"), 2u) << Dis;
+  EXPECT_EQ(Count("ldsi"), 2u) << Dis; // k and i after the join.
+}
+
+TEST(VmCompile, BailoutTaxonomy) {
+  // A call to an unresolved procedure is a structural bailout, found
+  // inside a while body too; the xform pre-check and the compiler must
+  // agree. The parser rejects undefined callees, so the call is detached
+  // after parsing.
+  auto P = parseOrDie(R"(program t
+    integer i, n, k
+    real x(100)
+    procedure bump
+      x(i) = x(i) + 1.0
+    end
+    n = 100
+    lp: do i = 1, n
+      k = 1
+      while (k < 3)
+        call bump
+        k = k + 1
+      end while
+    end do
+  end)");
+  DoStmt *L = P->findLoop("lp");
+  ASSERT_NE(L, nullptr);
+  auto *WS = cast<WhileStmt>(L->body()[1]);
+  cast<CallStmt>(WS->body()[0])->setCallee(nullptr);
   const char *Why = vm::structuralBailout(L);
   ASSERT_NE(Why, nullptr);
-  EXPECT_NE(std::string(Why).find("while"), std::string::npos);
+  EXPECT_NE(std::string(Why).find("unresolved"), std::string::npos) << Why;
   vm::CompileResult R = vm::compileLoop(L, extentsOf(*P));
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Bailout, Why);
+}
+
+TEST(VmCompile, WhileBodiesLower) {
+  // TREE's array-stack walk (ACCEL/do10) and a while reached through an
+  // inlined call both lower: the pre-check finds nothing to bail on, the
+  // compiler agrees, and each while closes with one back-edge op.
+  benchprogs::BenchmarkProgram Tree = benchprogs::tree(0.05);
+  Harness TreeH(Tree.Source);
+  Harness CallH(R"(program t
+    integer i, n, k
+    real s
+    real x(100)
+    procedure walk
+      while (k < 3)
+        k = k + 1
+        s = s + k * 0.5
+      end while
+    end
+    n = 100
+    lp: do i = 1, n
+      k = 0
+      s = 0.0
+      call walk
+      x(i) = s
+    end do
+  end)");
+  for (auto [H, Label] : {std::pair{&TreeH, "do10"}, std::pair{&CallH, "lp"}}) {
+    const DoStmt *L = H->P->findLoop(Label);
+    ASSERT_NE(L, nullptr) << Label;
+    const char *Why = vm::structuralBailout(L);
+    EXPECT_EQ(Why, nullptr) << Label << ": " << Why;
+    const xform::LoopPlan *Plan = H->Plan.planFor(L);
+    ASSERT_NE(Plan, nullptr) << Label;
+    EXPECT_TRUE(Plan->VmEligible) << Label << ": " << Plan->VmBailout;
+    vm::CompileResult R = vm::compileLoop(L, extentsOf(*H->P));
+    ASSERT_TRUE(R.Ok) << Label << ": " << R.Bailout;
+    std::string Dis = R.Prog.str();
+    EXPECT_NE(Dis.find("whileback"), std::string::npos) << Dis;
+  }
 }
 
 TEST(VmCompile, PlansMarkEligibility) {
@@ -246,16 +331,26 @@ TEST(VmCompile, PlansMarkEligibility) {
 //===----------------------------------------------------------------------===//
 
 TEST(VmDifferential, Fig16BenchmarksBitIdenticalEverywhere) {
-  for (const auto &B : benchprogs::allBenchmarks(0.05)) {
+  // Fig. 1(a)'s dok (a linked-list while inside the certified loop) joins
+  // the five programs: every certified loop body lowers, while loops
+  // included, so no program bails to the tree walk.
+  std::vector<benchprogs::BenchmarkProgram> Programs =
+      benchprogs::allBenchmarks(0.05);
+  Programs.push_back({"fig1a", benchprogs::fig1aSource(), {"dok"}, {}});
+  for (const auto &B : Programs) {
     Harness H(B.Source);
     for (Schedule S : AllSchedules)
       for (unsigned T : ThreadCounts) {
         std::string Ctx = B.Name + "/" + scheduleName(S) +
                           "/T=" + std::to_string(T);
         ExecStats Stats = H.runBoth(T, S, Ctx);
-        if (T > 1)
+        EXPECT_EQ(Stats.VmBailouts, 0u) << Ctx;
+        if (T > 1) {
           EXPECT_GT(Stats.VmParallelLoopRuns, 0u)
               << Ctx << ": the VM engine never engaged";
+          EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns)
+              << Ctx << ": a parallel loop stayed on the tree walk";
+        }
       }
   }
 }
@@ -490,6 +585,207 @@ TEST(VmFault, GenuineFaultIdenticalAttributionAcrossEngines) {
     EXPECT_EQ(FS.Fault.Bound, 1000) << Ctx;
     EXPECT_EQ(FS.Rollbacks, 1u) << Ctx;
   }
+}
+
+/// A certified loop whose while body reads y(k) for k = 1..lim(i): lim(700)
+/// is poisoned past y's extent, so exactly one iteration faults inside the
+/// while.
+const char *WhileOutOfBounds = R"(program t
+    integer i, n, k
+    integer lim(1000)
+    real s
+    real x(1000), y(10)
+    n = 1000
+    init: do i = 1, n
+      lim(i) = mod(i, 7) + 1
+      x(i) = i * 0.5
+    end do
+    fill: do i = 1, 10
+      y(i) = i * 0.25
+    end do
+    lim(700) = 11
+    lp: do i = 1, n
+      k = 0
+      s = 0.0
+      while (k < lim(i))
+        k = k + 1
+        s = s + y(k)
+      end while
+      x(i) = s
+    end do
+  end)";
+
+/// Report-mode run of \p H's program on \p E at T=4: the faulting loop's
+/// transaction rolls back and its first fault is returned without a serial
+/// replay.
+RuntimeFault reportedFault(Harness &H, ExecEngine E, ExecStats &Stats) {
+  Interpreter I(*H.P);
+  ExecOptions Opts = H.baseOptions(4, Schedule::Static, E);
+  Opts.OnFault = FaultAction::Report;
+  I.run(Opts, &Stats);
+  const FaultState &FS = I.faultState();
+  EXPECT_TRUE(FS.Faulted) << engineName(E);
+  EXPECT_EQ(FS.Rollbacks, 1u) << engineName(E);
+  EXPECT_EQ(FS.Replays, 0u) << engineName(E);
+  return FS.Fault;
+}
+
+TEST(VmFault, WhileOutOfBoundsMatchesTreeWalk) {
+  Harness H(WhileOutOfBounds);
+  const xform::LoopReport *Rep = H.Plan.reportFor("lp");
+  ASSERT_NE(Rep, nullptr);
+  ASSERT_TRUE(Rep->Parallel) << Rep->WhyNot;
+  ExecStats TreeStats, VmStats;
+  RuntimeFault Tree = reportedFault(H, ExecEngine::Interp, TreeStats);
+  RuntimeFault Vm = reportedFault(H, ExecEngine::Vm, VmStats);
+  EXPECT_GT(VmStats.VmParallelLoopRuns, 0u);
+  EXPECT_EQ(VmStats.VmBailouts, 0u);
+
+  EXPECT_EQ(Tree.Kind, FaultKind::OutOfBounds);
+  EXPECT_EQ(Tree.Loop, "lp");
+  EXPECT_EQ(Tree.Iteration, 700);
+  EXPECT_EQ(Tree.Var, "y");
+  EXPECT_EQ(Tree.Value, 11);
+  EXPECT_EQ(Tree.Bound, 10);
+  EXPECT_EQ(Vm.Kind, Tree.Kind);
+  EXPECT_EQ(Vm.Loc.Line, Tree.Loc.Line);
+  EXPECT_EQ(Vm.Loc.Col, Tree.Loc.Col);
+  EXPECT_EQ(Vm.Loop, Tree.Loop);
+  EXPECT_EQ(Vm.Iteration, Tree.Iteration);
+  EXPECT_EQ(Vm.Var, Tree.Var);
+  EXPECT_EQ(Vm.Value, Tree.Value);
+  EXPECT_EQ(Vm.Bound, Tree.Bound);
+  EXPECT_TRUE(Vm.InParallel);
+}
+
+TEST(VmFault, RunawayWhileTripsTheIterationGuard) {
+  // Iteration 700's while never ends; the back-edge op faults once the
+  // body has run WhileIterationGuard times, attributed exactly as the tree
+  // walk's guard attributes it: the while's location, the enclosing do
+  // loop and its iteration, the count reached and the limit. The tree walk
+  // takes ~20 s to get there, so its side of the comparison is the shared
+  // constant and the while's own location rather than a second run.
+  Harness H(R"(program t
+    integer i, n, go
+    integer spin(1000)
+    real x(1000)
+    n = 1000
+    spin(700) = 1
+    lp: do i = 1, n
+      go = spin(i)
+      while (go)
+      end while
+      x(i) = i * 1.0
+    end do
+  end)");
+  DoStmt *L = H.P->findLoop("lp");
+  ASSERT_NE(L, nullptr);
+  // The pipeline may rewrite the body (go forward-substitutes into the
+  // condition), so find the while by kind.
+  auto It = std::find_if(L->body().begin(), L->body().end(), [](Stmt *S) {
+    return isa<WhileStmt>(S);
+  });
+  ASSERT_NE(It, L->body().end());
+  const auto *WS = cast<WhileStmt>(*It);
+  ExecStats Stats;
+  RuntimeFault F = reportedFault(H, ExecEngine::Vm, Stats);
+  EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
+  EXPECT_EQ(F.Kind, FaultKind::IterationGuard);
+  EXPECT_EQ(F.Loc.Line, WS->loc().Line);
+  EXPECT_EQ(F.Loc.Col, WS->loc().Col);
+  EXPECT_EQ(F.Loop, "lp");
+  EXPECT_EQ(F.Iteration, 700);
+  EXPECT_TRUE(F.HasValue);
+  EXPECT_EQ(F.Value, WhileIterationGuard + 1);
+  EXPECT_EQ(F.Bound, WhileIterationGuard);
+  EXPECT_TRUE(F.Var.empty()) << F.Var;
+}
+
+//===----------------------------------------------------------------------===//
+// Deadlines inside VM chunks
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Source's certified loop lp on the VM at T=4 with a token fired
+/// after DeadlineMs, and checks the run faults DeadlineExceeded within
+/// OvershootBoundMs of the firing with x rolled back to its pre-loop bytes
+/// (x(i) = i * 0.5 from init). Every outer iteration holds well over a
+/// second of VM work, so only a poll inside the chunk body can meet the
+/// bound. Returns the measured overshoot in milliseconds.
+double deadlineOvershootMs(const char *Source) {
+  constexpr int DeadlineMs = 20;
+  constexpr double OvershootBoundMs = 250;
+  Harness H(Source);
+  const xform::LoopReport *Rep = H.Plan.reportFor("lp");
+  EXPECT_TRUE(Rep && Rep->Parallel) << (Rep ? Rep->WhyNot : "no report");
+  CancelToken Token;
+  Interpreter I(*H.P);
+  ExecOptions Opts = H.baseOptions(4, Schedule::Static, ExecEngine::Vm);
+  Opts.Cancel = &Token;
+  ExecStats Stats;
+  std::chrono::steady_clock::time_point Fired;
+  std::thread Timer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(DeadlineMs));
+    Fired = std::chrono::steady_clock::now();
+    Token.cancel();
+  });
+  Memory M = I.run(Opts, &Stats);
+  auto Returned = std::chrono::steady_clock::now();
+  Timer.join();
+  double OvershootMs =
+      std::chrono::duration<double, std::milli>(Returned - Fired).count();
+
+  const FaultState &FS = I.faultState();
+  EXPECT_TRUE(FS.Faulted);
+  EXPECT_EQ(FS.Fault.Kind, FaultKind::DeadlineExceeded) << FS.str();
+  EXPECT_TRUE(FS.Fault.InParallel) << FS.str();
+  EXPECT_EQ(FS.Rollbacks, 1u);
+  EXPECT_EQ(FS.Replays, 0u) << "a blown deadline is never replayed";
+  EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
+  EXPECT_LT(OvershootMs, OvershootBoundMs);
+  const Symbol *X = H.P->findSymbol("x");
+  const Buffer &B = M.buffer(X);
+  for (size_t E = 0; E < B.D.size(); ++E)
+    EXPECT_EQ(B.D[E], (E + 1) * 0.5) << "element " << E;
+  return OvershootMs;
+}
+
+TEST(VmDeadline, LongInnerDoPollsAtItsBackEdge) {
+  double Ms = deadlineOvershootMs(R"(program t
+    integer i, j, n
+    real s
+    real x(8)
+    n = 8
+    init: do i = 1, n
+      x(i) = i * 0.5
+    end do
+    lp: do i = 1, n
+      s = 0.0
+      do j = 1, 200000000
+        s = s + 1.0
+      end do
+      x(i) = s
+    end do
+  end)");
+  RecordProperty("overshoot_ms", std::to_string(Ms));
+}
+
+TEST(VmDeadline, LongWhilePollsAtItsBackEdge) {
+  double Ms = deadlineOvershootMs(R"(program t
+    integer i, k, n
+    real x(8)
+    n = 8
+    init: do i = 1, n
+      x(i) = i * 0.5
+    end do
+    lp: do i = 1, n
+      k = 0
+      while (k < 90000000)
+        k = k + 1
+      end while
+      x(i) = k * 1.0
+    end do
+  end)");
+  RecordProperty("overshoot_ms", std::to_string(Ms));
 }
 
 } // namespace

@@ -9,10 +9,10 @@
 //
 //   mfpar FILE.mf [--mode=full|noiaa|apo] [--run[=THREADS]] [--dump]
 //         [--schedule=static|dynamic|guided] [--chunk=N]
-//         [--engine=interp|vm|both] [--locality=off|model|reorder]
-//         [--audit=off|warn|strict] [--race-check] [--runtime-check[=on|off]]
-//         [--on-fault=abort|report|replay] [--stats] [--trace=out.json]
-//         [--remarks=out.jsonl] [--profile[=out.jsonl]]
+//         [--engine=interp|vm|both] [--audit=off|warn|strict] [--race-check]
+//         [--runtime-check[=on|off]] [--on-fault=abort|report|replay]
+//         [--stats] [--trace=out.json] [--remarks=out.jsonl]
+//         [--profile[=out.jsonl]]
 //
 //   --mode     pipeline configuration (default full)
 //   --run      execute the program (optionally in parallel with N threads)
@@ -25,14 +25,6 @@
 //              the tree walk); both runs the interpreter first as a
 //              reference, then the VM, and reports a fault if the final
 //              memory images or fault verdicts diverge
-//   --locality locality-aware scheduling (default off): model lets the
-//              static footprint model pick schedule, chunk size, and
-//              line-aligned chunk boundaries per loop (overriding
-//              --schedule/--chunk for parallel loops); reorder additionally
-//              has the inspector bucket runtime-checked gather loops'
-//              iterations by target cache line and execute them in the
-//              permuted order (original last iteration stays last, so
-//              results are bit-identical; implies the model's picks)
 //   --dump     print the normalized program after the transformation passes
 //   --annotate print the program with !$iaa parallel do directives
 //   --audit    independently re-certify every parallel-marked loop before
@@ -97,7 +89,6 @@ static int usage() {
                "usage: mfpar [FILE.mf] [--mode=full|noiaa|apo] "
                "[--run[=THREADS]] [--schedule=static|dynamic|guided] "
                "[--chunk=N] [--engine=interp|vm|both] "
-               "[--locality=off|model|reorder] "
                "[--audit=off|warn|strict] [--race-check] "
                "[--runtime-check[=on|off]] [--on-fault=abort|report|replay] "
                "[--deadline-ms=N] [--mem-limit-mb=N] "
@@ -139,7 +130,6 @@ int main(int argc, char **argv) {
   interp::Schedule Sched = interp::Schedule::Static;
   int64_t ChunkSize = 0;
   interp::ExecEngine Engine = interp::ExecEngine::Interp;
-  sched::LocalityMode Locality = sched::LocalityMode::Off;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RaceCheck = false;
   bool RuntimeChecks = false;
@@ -185,10 +175,6 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--engine=", 0) == 0) {
       if (!interp::parseEngine(Arg.substr(9), Engine))
         return badValue("--engine", Arg.substr(9), "interp, vm, or both");
-    } else if (Arg.rfind("--locality=", 0) == 0) {
-      if (!sched::parseLocalityMode(Arg.substr(11), Locality))
-        return badValue("--locality", Arg.substr(11),
-                        "off, model, or reorder");
     } else if (Arg.rfind("--audit=", 0) == 0) {
       if (!verify::parseAuditMode(Arg.substr(8), Audit))
         return badValue("--audit", Arg.substr(8), "off, warn, or strict");
@@ -385,7 +371,6 @@ int main(int argc, char **argv) {
     Par.Threads = Threads;
     Par.Sched = Sched;
     Par.ChunkSize = ChunkSize;
-    Par.Locality = Locality;
     Par.Engine = Engine;
     Par.RuntimeChecks = RuntimeChecks;
     Par.OnFault = OnFault;
@@ -432,16 +417,6 @@ int main(int argc, char **argv) {
                     ParStats.BothComparisons == 1 ? "" : "s",
                     ParStats.BothMismatches,
                     ParStats.BothMismatches == 1 ? "" : "es");
-    }
-    if (Locality != sched::LocalityMode::Off) {
-      std::printf("locality (%s): %u model pick%s, %u reorder%s built, "
-                  "%u cached\n",
-                  sched::localityModeName(Locality),
-                  ParStats.LocalityModelPicks,
-                  ParStats.LocalityModelPicks == 1 ? "" : "s",
-                  ParStats.LocalityReorders,
-                  ParStats.LocalityReorders == 1 ? "" : "s",
-                  ParStats.LocalityReordersCached);
     }
     if (RuntimeChecks) {
       std::printf("runtime checks: %u inspection%s run, %u cached verdict%s, "

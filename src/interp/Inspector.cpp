@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <vector>
 
 using namespace iaa;
 using namespace iaa::interp;
@@ -238,79 +239,4 @@ InspectionOutcome interp::inspectRuntimeCheck(const RuntimeCheck &C,
   }
   }
   return fail("unknown runtime check");
-}
-
-ReorderOutcome interp::buildIterationReorder(const RuntimeCheck &C,
-                                             const Memory &Mem, int64_t Lo,
-                                             int64_t Up, unsigned LineElems) {
-  ReorderOutcome Out;
-  if (!C.Index) {
-    Out.Detail = "check has no index array";
-    return Out;
-  }
-  const int64_t N = Up >= Lo ? Up - Lo + 1 : 0;
-  if (N < 2) {
-    Out.Detail = "fewer than two iterations";
-    return Out;
-  }
-  if (C.LoAdjust != C.UpAdjust) {
-    // A window shifted asymmetrically against the iteration space has no
-    // one-to-one iteration -> index-entry map to permute by.
-    Out.Detail = "window is not a 1:1 map of the iteration space";
-    return Out;
-  }
-  const Buffer &B = Mem.buffer(C.Index);
-  if (B.Kind != mf::ScalarKind::Int) {
-    Out.Detail = C.Index->name() + " is not an integer array";
-    return Out;
-  }
-  const int64_t A = Lo + C.LoAdjust;
-  const int64_t Z = Up + C.UpAdjust;
-  if (A < 1 || Z > int64_t(B.I.size())) {
-    Out.Detail = "reorder window " + C.Index->name() + "(" +
-                 std::to_string(A) + ":" + std::to_string(Z) +
-                 ") exceeds the array extent";
-    return Out;
-  }
-  const int64_t *V = B.I.data() + (A - 1); // V[K] is Index(A + K).
-  const int64_t Elems = std::max<int64_t>(1, int64_t(LineElems));
-  auto LineOf = [&](int64_t K) {
-    // First element iteration Lo + K touches, floor-divided into lines
-    // (1-based elements; bounds-failing values still bucket consistently).
-    int64_t Elem = V[K] + C.AccessLo;
-    return Elem >= 1 ? (Elem - 1) / Elems : (Elem - Elems) / Elems;
-  };
-
-  std::vector<std::pair<int64_t, int64_t>> Keyed; // (target line, iteration)
-  Keyed.reserve(size_t(N - 1));
-  for (int64_t K = 0; K + 1 < N; ++K)
-    Keyed.emplace_back(LineOf(K), Lo + K);
-  std::stable_sort(Keyed.begin(), Keyed.end(),
-                   [](const std::pair<int64_t, int64_t> &X,
-                      const std::pair<int64_t, int64_t> &Y) {
-                     return X.first < Y.first;
-                   });
-
-  auto Order = std::make_shared<std::vector<int64_t>>();
-  Order->reserve(size_t(N));
-  const int64_t UpLine = LineOf(N - 1);
-  bool UpLineSeen = false;
-  uint64_t Lines = 0;
-  int64_t PrevLine = 0;
-  bool HavePrev = false;
-  for (const auto &P : Keyed) {
-    Order->push_back(P.second);
-    if (!HavePrev || P.first != PrevLine) {
-      ++Lines;
-      HavePrev = true;
-      PrevLine = P.first;
-    }
-    UpLineSeen |= P.first == UpLine;
-  }
-  Order->push_back(Up); // Pinned last: preserves last-value semantics.
-  if (!UpLineSeen)
-    ++Lines;
-  Out.Order = std::move(Order);
-  Out.LinesTouched = Lines;
-  return Out;
 }

@@ -22,8 +22,7 @@
 #include "deptest/DependenceTest.h"
 #include "interp/Interpreter.h"
 
-#include <memory>
-#include <vector>
+#include <string>
 
 namespace iaa {
 namespace interp {
@@ -44,36 +43,6 @@ InspectionOutcome inspectRuntimeCheck(const deptest::RuntimeCheck &C,
                                       const Memory &Mem, int64_t Lo,
                                       int64_t Up, WorkerPool *Pool,
                                       unsigned Threads);
-
-/// Result of the inspector's locality reorder pass (the aggregation step of
-/// classic inspector/executor: group iterations whose gathered/scattered
-/// targets share a cache line, so one worker touches each line).
-struct ReorderOutcome {
-  /// Permuted execution order: Order[k] is the original iteration to run
-  /// at position Lo + k. A bijection of [Lo, Up] whose final position is
-  /// always the original iteration Up — the dispenser hands the chunk
-  /// containing the last position to exactly one worker, and that worker
-  /// executes original Up temporally last, so the loop's last-value
-  /// semantics survive the permutation. Null when the check cannot drive a
-  /// reorder; callers then run in source order.
-  std::shared_ptr<const std::vector<int64_t>> Order;
-  /// Distinct target cache lines the index array maps [Lo, Up] onto.
-  uint64_t LinesTouched = 0;
-  std::string Detail; ///< Why Order is null; empty on success.
-};
-
-/// Buckets the iterations of [Lo, Up] by the cache line of the element
-/// their index-array entry targets (line = floor((Index(i) + AccessLo - 1)
-/// / LineElems)) and returns the line-sorted, stable (source order within a
-/// line) execution order with iteration Up pinned last. Only meaningful
-/// after the check's inspection passed — any bijection of a proven
-/// iteration-disjoint space is semantically safe, so a stale permutation
-/// can cost locality but never correctness. Returns a null Order for
-/// windows that are not a 1:1 map of the iteration space, non-integer or
-/// out-of-extent index arrays, or fewer than two iterations.
-ReorderOutcome buildIterationReorder(const deptest::RuntimeCheck &C,
-                                     const Memory &Mem, int64_t Lo,
-                                     int64_t Up, unsigned LineElems);
 
 } // namespace interp
 } // namespace iaa

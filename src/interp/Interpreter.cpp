@@ -42,12 +42,6 @@ IAA_STAT(interp_inspections_cached,
          "Runtime-check verdicts served from the version cache");
 IAA_STAT(interp_runtime_check_fails,
          "Runtime-check decisions that fell back to serial");
-IAA_STAT(interp_locality_model_picks,
-         "Parallel dispatches scheduled by the locality footprint model");
-IAA_STAT(interp_locality_reorders,
-         "Fresh locality iteration permutations built by the inspector");
-IAA_STAT(interp_locality_reorders_cached,
-         "Locality permutations served from the version cache");
 IAA_STAT(interp_faults_trapped, "Runtime faults trapped (all contexts)");
 IAA_STAT(interp_fault_rollbacks,
          "Parallel-loop transactions rolled back after a worker fault");
@@ -324,10 +318,10 @@ namespace interp {
 ///
 /// Soundness across runs: every run starts from a fresh Memory whose
 /// version counters evolve deterministically for a fixed program and option
-/// set, so version-keyed entries (inspection verdicts, locality
-/// permutations) hit exactly when the inspected data is bit-identical to
-/// the run that populated them. The purely structural memos (body weights,
-/// write sets, bytecode, model picks) depend only on the AST.
+/// set, so version-keyed entries (inspection verdicts) hit exactly when the
+/// inspected data is bit-identical to the run that populated them. The
+/// purely structural memos (body weights, write sets, bytecode) depend only
+/// on the AST.
 class RuntimeCaches {
 public:
   /// Static body-weight estimates for the profitability guard.
@@ -342,25 +336,6 @@ public:
     std::string Detail;
   };
   std::map<const mf::DoStmt *, InspectionEntry> InspectionCache;
-
-  /// Memoized footprint-model pick for one loop.
-  struct ModelEntry {
-    int64_t NIter = -1;
-    unsigned Threads = 0;
-    sched::SchedulePick Pick;
-  };
-  std::map<const mf::DoStmt *, ModelEntry> ModelCache;
-  std::optional<sched::GatherFootprintModel> Model;
-
-  /// Cached locality permutation for one conditional loop, valid while the
-  /// bounds and every checked array's version are unchanged.
-  struct ReorderEntry {
-    int64_t Lo = 0, Up = 0;
-    std::vector<std::pair<unsigned, uint64_t>> Versions;
-    std::shared_ptr<const std::vector<int64_t>> Order;
-    uint64_t LinesTouched = 0;
-  };
-  std::map<const mf::DoStmt *, ReorderEntry> ReorderCache;
 
   /// Memoized per-loop write sets for post-join version bumps.
   std::map<const mf::DoStmt *, std::vector<const mf::Symbol *>> LoopWriteSets;
@@ -1158,28 +1133,6 @@ private:
     if (static_cast<int64_t>(T) > NIter)
       T = static_cast<unsigned>(NIter);
 
-    // Locality-aware scheduling: under Model/Reorder the footprint model
-    // overrides the dispenser's policy, chunk size, and alignment; under
-    // Reorder an inspected conditional loop additionally executes in the
-    // inspector's line-bucketed iteration order. Either way the result is
-    // bit-identical to the source order (the permutation pins the final
-    // iteration last, preserving last-value semantics).
-    Schedule Sch = Opts.Sched;
-    int64_t ChunkSize = Opts.ChunkSize;
-    int64_t Align = 1;
-    if (Opts.Locality != sched::LocalityMode::Off) {
-      const sched::SchedulePick &Pick = modelPickFor(DS, NIter, T);
-      Sch = Pick.Sched;
-      ChunkSize = Pick.ChunkSize;
-      Align = Pick.Align;
-      ++interp_locality_model_picks;
-      if (Stats)
-        ++Stats->LocalityModelPicks;
-    }
-    std::shared_ptr<const std::vector<int64_t>> Order;
-    if (CondInspected && Opts.Locality == sched::LocalityMode::Reorder)
-      Order = reorderPlanFor(DS, *Plan, Lo, Up);
-
     // Engine selection: under --engine=vm a compiled program runs the
     // chunks as register bytecode; a bailout (or interp engine) keeps the
     // tree walk. Everything around the chunk body is engine-agnostic.
@@ -1195,16 +1148,13 @@ private:
                                 : prof::DispatchKind::Parallel;
       Rec->Engine = VmProg ? "vm" : "interp";
       Rec->Threads = T;
-      Rec->Schedule = scheduleName(Sch);
-      Rec->Locality = sched::localityModeName(Opts.Locality);
+      Rec->Schedule = scheduleName(Opts.Sched);
     }
 
     trace::TraceScope ParSpan("parallel-loop", "interp");
     ParSpan.arg("loop", DS->label().empty() ? "<unlabeled>" : DS->label());
     ParSpan.arg("threads", std::to_string(T));
-    ParSpan.arg("schedule", scheduleName(Sch));
-    if (Order)
-      ParSpan.arg("locality", "reorder");
+    ParSpan.arg("schedule", scheduleName(Opts.Sched));
 
     // Everything below is per-*worker-that-ran-iterations*: private copies
     // are built on a worker's first dispensed chunk, reduction partials are
@@ -1215,10 +1165,8 @@ private:
     struct WorkerState {
       std::unordered_map<unsigned, Buffer> Overrides;
       bool Ran = false;
-      int64_t LastIter = 0; ///< Highest *original* iteration executed
-                            ///< (valid if Ran; under a locality reorder the
-                            ///< dispensed positions are permuted, so this
-                            ///< tracks the mapped iterations).
+      int64_t LastIter = 0; ///< Highest iteration executed: the end of
+                            ///< the worker's latest chunk (valid if Ran).
       unsigned Chunks = 0;
       double SecondsSum = 0;
       double SecondsMax = 0;
@@ -1262,7 +1210,7 @@ private:
         Snapshot.emplace_back(S, Mem.buffer(S));
     FaultSlot Faults;
 
-    ChunkDispenser Disp(Lo, Up, T, Sch, ChunkSize, Align);
+    ChunkDispenser Disp(Lo, Up, T, Opts.Sched, Opts.ChunkSize);
 
     // Runs one dispensed chunk on worker W; returns its seconds (including
     // the first chunk's private-copy construction — it parallelizes too).
@@ -1274,22 +1222,14 @@ private:
       double ProfStartUs = Rec ? Rec->nowUs() : 0.0;
       Timer CT;
       WorkerState &WS = Workers[W];
-      int64_t MaxIter = WS.Ran ? WS.LastIter : INT64_MIN;
       if (!WS.Ran) {
         BuildPrivates(W);
         WS.Ran = true;
       }
-      // Under a locality reorder the dispenser hands out *positions*; the
-      // permutation maps each to the original iteration it executes. The
-      // permutation pins original Up to the last position, so the worker
-      // holding the final chunk runs Up temporally last — last-value
-      // semantics survive (see interp::buildIterationReorder).
       if (VmProg) {
         vm::ChunkContext VC;
         VC.Mem = &Mem;
         VC.Overrides = &WS.Overrides;
-        VC.Order = Order.get();
-        VC.Lo = Lo;
         VC.First = First;
         VC.Last = Last;
         VC.Worker = W;
@@ -1297,7 +1237,7 @@ private:
         VC.Cancel = Cancel;
         VC.Rec = ProfCur;
         VC.ProfSkip = &WS.ProfSkip;
-        MaxIter = std::max(MaxIter, vm::runChunk(*VmProg, VC));
+        vm::runChunk(*VmProg, VC);
       } else {
         Frame FW;
         FW.Overrides = &WS.Overrides;
@@ -1305,28 +1245,26 @@ private:
         FW.CurLoop = DS;
         FW.Worker = W;
         FW.ProfSkip = WS.ProfSkip;
-        for (int64_t Pos = First; Pos <= Last; ++Pos) {
-          int64_t I = Order ? (*Order)[size_t(Pos - Lo)] : Pos;
+        for (int64_t I = First; I <= Last; ++I) {
           FW.CurIter = I;
           checkCancel(DS->loc(), FW);
           checkInjection(DS, I, FW);
           setScalar(DS->indexVar(), I, FW);
           execBody(DS->body(), FW);
-          MaxIter = std::max(MaxIter, I);
         }
         WS.ProfSkip = FW.ProfSkip;
       }
       double Secs = CT.seconds();
       if (Rec)
         Rec->noteChunk(W, ChunkId, First, Last, ProfStartUs, Secs * 1e6);
-      WS.LastIter = MaxIter;
+      WS.LastIter = Last;
       ++WS.Chunks;
       WS.SecondsSum += Secs;
       WS.SecondsMax = std::max(WS.SecondsMax, Secs);
       if (ChunkSpan.active()) {
         ChunkSpan.arg("worker", std::to_string(W));
         ChunkSpan.arg("chunk", std::to_string(ChunkId));
-        ChunkSpan.arg("schedule", scheduleName(Sch));
+        ChunkSpan.arg("schedule", scheduleName(Opts.Sched));
         ChunkSpan.arg("first", std::to_string(First));
         ChunkSpan.arg("last", std::to_string(Last));
       }
@@ -1434,10 +1372,9 @@ private:
 
       // Roll the transaction back: restore every MAY-written buffer,
       // version counter included. The restored bytes are exactly the
-      // pre-loop bytes, so inspector verdicts and locality permutations
-      // cached against the snapshot version are still valid — bumping the
-      // version here would spuriously re-run inspections after every
-      // recovered fault.
+      // pre-loop bytes, so inspector verdicts cached against the snapshot
+      // version are still valid — bumping the version here would
+      // spuriously re-run inspections after every recovered fault.
       Timer RollbackTimer;
       for (auto &[S, Buf] : Snapshot) {
         uint64_t V = Buf.Version;
@@ -1715,93 +1652,6 @@ private:
     if (DetailOut)
       *DetailOut = E.Detail;
     return E.Pass;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Locality-aware scheduling (ExecOptions::Locality)
-  //===--------------------------------------------------------------------===//
-
-  /// The footprint model's schedule pick for \p DS, memoized per loop and
-  /// revalidated when the trip count or worker count changes (the scored
-  /// body is static, so those are the only inputs that can move the pick).
-  const sched::SchedulePick &modelPickFor(const DoStmt *DS, int64_t NIter,
-                                          unsigned T) {
-    auto [It, Inserted] = C.ModelCache.try_emplace(DS);
-    RuntimeCaches::ModelEntry &E = It->second;
-    if (Inserted || E.NIter != NIter || E.Threads != T) {
-      if (!C.Model)
-        C.Model.emplace(Prog);
-      const xform::LoopPlan *Plan = nullptr;
-      if (Opts.Plans) {
-        if (const xform::LoopPlan *P = Opts.Plans->planFor(DS))
-          Plan = P;
-        else if (const xform::LoopPlan *C = Opts.Plans->conditionalPlanFor(DS))
-          Plan = C;
-      }
-      E.Pick = C.Model->pick(C.Model->score(DS, Plan), NIter, T);
-      E.NIter = NIter;
-      E.Threads = T;
-    }
-    return E.Pick;
-  }
-
-  /// The locality permutation for an inspected conditional loop, cached
-  /// under the same keys as the inspection verdict — the bounds plus the
-  /// version counters of *every* checked Index and Length array, not just
-  /// the permutation's own source array. A CRS loop's segment-length array
-  /// can change the target layout while the offset array it permutes by is
-  /// untouched; keying on the full check set forces the rebuild. (A stale
-  /// permutation would still be *safe* — any bijection of a proven
-  /// iteration-disjoint space with Up pinned last is correct — but it
-  /// would silently stop matching the data it was built for.)
-  std::shared_ptr<const std::vector<int64_t>>
-  reorderPlanFor(const DoStmt *DS, const xform::LoopPlan &Plan, int64_t Lo,
-                 int64_t Up) {
-    // Permute by the plan's recorded gather source when present, else the
-    // first check with an index array.
-    const deptest::RuntimeCheck *Check = nullptr;
-    for (const auto &C : Plan.RuntimeChecks) {
-      if (!C.Index)
-        continue;
-      if (!Check)
-        Check = &C;
-      if (Plan.LocalityIndexArray && C.Index == Plan.LocalityIndexArray) {
-        Check = &C;
-        break;
-      }
-    }
-    if (!Check)
-      return nullptr;
-
-    std::vector<std::pair<unsigned, uint64_t>> Versions;
-    for (const auto &C : Plan.RuntimeChecks)
-      for (const Symbol *S : {C.Index, C.Length})
-        if (S)
-          Versions.emplace_back(S->id(), Mem.buffer(S).Version);
-    std::sort(Versions.begin(), Versions.end());
-    Versions.erase(std::unique(Versions.begin(), Versions.end()),
-                   Versions.end());
-
-    auto [It, Inserted] = C.ReorderCache.try_emplace(DS);
-    RuntimeCaches::ReorderEntry &E = It->second;
-    if (!Inserted && E.Lo == Lo && E.Up == Up && E.Versions == Versions) {
-      ++interp_locality_reorders_cached;
-      if (Stats)
-        ++Stats->LocalityReordersCached;
-      return E.Order;
-    }
-
-    ReorderOutcome O =
-        buildIterationReorder(*Check, Mem, Lo, Up, sched::DefaultLineElems);
-    E.Lo = Lo;
-    E.Up = Up;
-    E.Versions = std::move(Versions);
-    E.Order = O.Order;
-    E.LinesTouched = O.LinesTouched;
-    ++interp_locality_reorders;
-    if (Stats)
-      ++Stats->LocalityReorders;
-    return E.Order;
   }
 
 public:

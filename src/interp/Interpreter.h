@@ -28,7 +28,6 @@
 #include "interp/Fault.h"
 #include "interp/ThreadPool.h"
 #include "mf/Program.h"
-#include "sched/FootprintModel.h"
 #include "support/Remarks.h"
 #include "xform/Parallelizer.h"
 
@@ -177,8 +176,7 @@ struct ExecOptions {
   /// published first-fault-wins, cancels the chunk dispenser, and after the
   /// join the snapshot is rolled back — contents *and* version counters,
   /// since the restored bytes are exactly the pre-loop bytes, so inspector
-  /// verdicts and locality permutations cached against them stay valid.
-  /// Replay additionally
+  /// verdicts cached against them stay valid. Replay additionally
   /// re-executes the loop serially: it either reproduces the fault with
   /// exact serial attribution or completes correctly when the fault was an
   /// artifact of parallel execution. Abort skips the snapshot and
@@ -189,14 +187,6 @@ struct ExecOptions {
   /// Test-only fault-injection hook (see FaultInjectionHook); null in
   /// production runs.
   const FaultInjectionHook *Injector = nullptr;
-  /// Locality-aware scheduling (sched/FootprintModel.h). Model lets the
-  /// static GatherFootprintModel override Sched/ChunkSize (and align chunk
-  /// boundaries to cache lines) per parallel loop; Reorder additionally
-  /// executes runtime-conditional loops that passed inspection in the
-  /// inspector's line-bucketed iteration order (permutations are cached
-  /// under the same Buffer::Version keys as inspection verdicts). Results
-  /// are bit-identical across all modes.
-  sched::LocalityMode Locality = sched::LocalityMode::Off;
   /// Memory-access profiling session (prof/Profiler.h); null disables all
   /// profiling hooks. The interpreter records, per labeled-loop
   /// invocation, sampled cache-line access streams, per-worker chunk
@@ -315,12 +305,6 @@ struct ExecStats {
   };
   std::vector<RuntimeDecision> RuntimeDecisions;
 
-  /// Locality-aware scheduling (ExecOptions::Locality).
-  unsigned LocalityModelPicks = 0; ///< Parallel dispatches scheduled by the
-                                   ///< footprint model.
-  unsigned LocalityReorders = 0;   ///< Fresh iteration permutations built.
-  unsigned LocalityReordersCached = 0; ///< Permutations reused from cache.
-
   /// Fault containment (ExecOptions::OnFault).
   unsigned WorkerFaults = 0;   ///< Faults trapped inside parallel workers.
   unsigned FaultRollbacks = 0; ///< Loop transactions rolled back.
@@ -345,12 +329,11 @@ struct ExecStats {
 };
 
 /// Session-lifetime runtime caches. One Interpreter owns one instance, so
-/// inspector verdicts (keyed on Buffer::Version counters), locality
-/// permutations, footprint-model schedules, body-weight estimates, loop
-/// write-sets, and compiled VM bytecode persist across run() calls — a
-/// daemon session re-running the same cached program skips re-inspection
-/// and re-lowering on later requests. Defined in Interpreter.cpp; opaque
-/// here.
+/// inspector verdicts (keyed on Buffer::Version counters), body-weight
+/// estimates, loop write-sets, and compiled VM bytecode persist across
+/// run() calls — a daemon session re-running the same cached program skips
+/// re-inspection and re-lowering on later requests. Defined in
+/// Interpreter.cpp; opaque here.
 class RuntimeCaches;
 
 /// Runs \p P (starting at "main") against fresh memory; returns the final

@@ -124,10 +124,8 @@ bool interp::parseSchedule(const std::string &Name, Schedule &Out) {
 }
 
 ChunkDispenser::ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers,
-                               Schedule Sched, int64_t ChunkSize,
-                               int64_t Align)
+                               Schedule Sched, int64_t ChunkSize)
     : Lo(Lo), Up(Up), Workers(std::max(1u, Workers)), Sched(Sched),
-      Align(std::max<int64_t>(1, Align)),
       Iterations(Up >= Lo ? Up - Lo + 1 : 0), Cursor(Lo) {
   int64_t NIter = Iterations;
   switch (Sched) {
@@ -149,10 +147,6 @@ ChunkDispenser::ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers,
     Chunk = ChunkSize > 0 ? ChunkSize : 1; // Minimum grab size.
     break;
   }
-  // Chunk boundaries land on Lo + k*Chunk (static/dynamic) or on multiples
-  // of each grab size (guided), so rounding sizes up to Align multiples
-  // keeps line-sharing iterations together; the final chunk still clamps.
-  Chunk = (Chunk + this->Align - 1) / this->Align * this->Align;
 }
 
 bool ChunkDispenser::next(unsigned W, int64_t &First, int64_t &Last,
@@ -197,9 +191,8 @@ bool ChunkDispenser::next(unsigned W, int64_t &First, int64_t &Last,
         return false;
       int64_t Remaining = Up - Cur + 1;
       Size = std::max(Chunk, Remaining / static_cast<int64_t>(Workers));
-      Size = (Size + Align - 1) / Align * Align;
-      // Clamp after applying the floor and alignment: a floor (or rounded
-      // size) larger than what remains must not overshoot Up.
+      // Clamp after applying the floor: a floor larger than what remains
+      // must not overshoot Up.
       Size = std::min(Size, Remaining);
     } while (!Cursor.compare_exchange_weak(Cur, Cur + Size,
                                            std::memory_order_relaxed));

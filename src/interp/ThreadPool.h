@@ -114,14 +114,8 @@ class ChunkDispenser {
 public:
   /// \p ChunkSize 0 picks the policy default: static ceil(N/Workers)
   /// (one block per worker), dynamic 1, guided a floor of 1.
-  ///
-  /// \p Align rounds every chunk boundary up to a multiple of \p Align
-  /// iterations from \p Lo (the final chunk still clamps to Up), so the
-  /// locality scheduler can keep the iterations sharing one cache line of
-  /// a contiguous array on one worker. 1 (the default) dispenses exactly
-  /// as before.
   ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers, Schedule Sched,
-                 int64_t ChunkSize, int64_t Align = 1);
+                 int64_t ChunkSize);
 
   /// Grabs worker \p W's next chunk; false when its share is exhausted or
   /// the dispenser was cancelled.
@@ -152,7 +146,6 @@ private:
   unsigned Workers;
   Schedule Sched;
   int64_t Chunk; ///< Block size (static/dynamic) or floor (guided).
-  int64_t Align; ///< Chunk-boundary alignment in iterations (>= 1).
   /// Trip count; 0 for an empty space (Up < Lo). Guards next() so a
   /// zero-trip loop dispenses nothing under every policy and repeated
   /// exhausted polls never touch the cursor.

@@ -130,7 +130,6 @@ std::string jsonWorker(const WorkerTimeline &W) {
          ", \"dispatch_us\": " + json::num(W.DispatchUs) +
          ", \"busy_us\": " + json::num(W.BusyUs) +
          ", \"stall_us\": " + json::num(W.StallUs) +
-         ", \"lines\": " + std::to_string(W.FootprintLines) +
          ", \"first_iter\": " + std::to_string(W.FirstIter) +
          ", \"last_iter\": " + std::to_string(W.LastIter) +
          ", \"events_dropped\": " + std::to_string(W.EventsDropped) + "}";
@@ -159,8 +158,6 @@ std::string LoopProfile::jsonLine() const {
                     ", \"niter\": " + std::to_string(NIter) +
                     ", \"threads\": " + std::to_string(Threads) +
                     ", \"schedule\": " + json::str(Schedule) +
-                    ", \"locality\": " + json::str(Locality) +
-                    ", \"worker_lines\": " + std::to_string(WorkerLinesSum) +
                     ", \"wall_us\": " + json::num(WallUs) +
                     ", \"inspect_us\": " + json::num(InspectUs) +
                     ", \"rollback_us\": " + json::num(RollbackUs) +
@@ -200,7 +197,6 @@ std::string LoopHealth::jsonLine() const {
          ", \"analysis_pct\": " + json::num(AnalysisPct) +
          ", \"wall_us\": " + json::num(WallUs) +
          ", \"footprint_lines\": " + std::to_string(FootprintLines) +
-         ", \"worker_lines\": " + std::to_string(WorkerLines) +
          ", \"sampled\": " + std::to_string(SampledAccesses) +
          ", \"dispatch\": {\"static\": " + std::to_string(DispatchStatic) +
          ", \"conditional\": " + std::to_string(DispatchConditional) +
@@ -333,7 +329,6 @@ void Session::endLoop(LoopRecorder *R) {
   P.NIter = R->NIter;
   P.Threads = R->Threads;
   P.Schedule = R->Schedule;
-  P.Locality = R->Locality;
   P.WallUs = WallUs;
   P.InspectUs = R->InspectUs;
   P.RollbackUs = R->RollbackUs;
@@ -387,23 +382,6 @@ void Session::endLoop(LoopRecorder *R) {
   if (InvocationFootprint > Agg.FootprintLines)
     Agg.FootprintLines = InvocationFootprint;
 
-  // Per-worker distinct-line counts. The union footprint above is
-  // schedule-invariant; these per-worker pop-counts are what a
-  // locality-aware schedule actually shrinks (fewer workers sharing the
-  // same lines), so their sum is the measurable win metric.
-  std::vector<uint64_t> WLines(R->Wrk.size(), 0);
-  for (size_t WId = 0; WId < R->Wrk.size(); ++WId) {
-    for (const auto &A : R->Wrk[WId].Arrays) {
-      if (!A.Sym)
-        continue;
-      for (uint64_t Word : A.LineBits)
-        WLines[WId] += static_cast<uint64_t>(__builtin_popcountll(Word));
-    }
-    P.WorkerLinesSum += WLines[WId];
-  }
-  if (P.WorkerLinesSum > Agg.WorkerLines)
-    Agg.WorkerLines = P.WorkerLinesSum;
-
   // Worker timelines. Serial-dispatch invocations never saw a chunk grant;
   // synthesize a single worker-0 lane (busy = wall) so every loop record
   // has a timeline.
@@ -416,7 +394,6 @@ void Session::endLoop(LoopRecorder *R) {
     T.Worker = 0;
     T.Chunks = 1;
     T.BusyUs = WallUs;
-    T.FootprintLines = WLines.empty() ? 0 : WLines[0];
     T.FirstIter = R->Lo;
     T.LastIter = R->NIter > 0 ? R->Up : R->Lo - 1;
     P.Workers.push_back(std::move(T));
@@ -429,7 +406,6 @@ void Session::endLoop(LoopRecorder *R) {
       T.Worker = WId;
       T.Chunks = W.Chunks;
       T.BusyUs = W.BusyUs;
-      T.FootprintLines = WLines[WId];
       // Clamp into [0, wall]: a worker whose first poll raced the
       // dispenser's cancellation (fault drain) can report a first-chunk
       // start at — or, with clock skew, fractionally past — the loop's
@@ -543,7 +519,6 @@ std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
     H.AnalysisPct = Agg.WallUs > 0 ? Agg.AnalysisUs / Agg.WallUs * 100.0 : 0.0;
     H.WallUs = Agg.WallUs;
     H.FootprintLines = Agg.FootprintLines;
-    H.WorkerLines = Agg.WorkerLines;
     H.SampledAccesses = Agg.Hist.Total + Agg.Hist.Cold;
     H.DispatchStatic = Agg.TierStatic;
     H.DispatchConditional = Agg.TierConditional;

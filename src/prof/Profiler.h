@@ -6,8 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The measurement substrate for locality-aware scheduling (ROADMAP item 4):
-/// a sampling memory-access profiler the interpreter feeds from its
+/// A sampling memory-access profiler the interpreter feeds from its
 /// gather/scatter element accesses. Per labeled-loop invocation it records
 ///
 ///  - per-array cache-line telemetry: a footprint count (a bitmap over the
@@ -28,11 +27,6 @@
 /// imbalance %, analysis-cost share) and emits everything as JSONL
 /// (`mfpar --profile`). When tracing is on, per-loop counter samples also
 /// flow into the Chrome trace as "ph":"C" events.
-///
-/// The reuse-distance model here is deliberately the interface a future
-/// locality-aware scheduler consumes: a loop whose sampled accesses mostly
-/// reuse lines at small distances benefits from index-adjacent chunking; a
-/// flat histogram says the gather is cache-hostile no matter the schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -167,11 +161,6 @@ struct WorkerTimeline {
   double DispatchUs = 0; ///< Loop entry to this worker's first chunk start.
   double BusyUs = 0;     ///< Sum of chunk execution times.
   double StallUs = 0;    ///< Loop wall minus dispatch minus busy (>= 0).
-  /// Distinct cache lines this worker's sampled accesses touched, summed
-  /// over arrays (exact at sample period 1). The union across workers is
-  /// schedule-invariant, but this per-worker count is not: a schedule that
-  /// keeps index-adjacent iterations on one worker shrinks it.
-  uint64_t FootprintLines = 0;
   int64_t FirstIter = 0, LastIter = 0;
   std::vector<ChunkEvent> Events; ///< Capped; EventsDropped counts the rest.
   unsigned EventsDropped = 0;
@@ -187,12 +176,6 @@ struct LoopProfile {
   int64_t Lo = 0, Up = 0, NIter = 0;
   unsigned Threads = 1;
   std::string Schedule;
-  std::string Locality; ///< Locality mode in force ("off"/"model"/"reorder").
-  /// Sum over workers of per-worker distinct sampled cache lines. Unlike
-  /// the per-array footprint (a union, schedule-invariant), this sum drops
-  /// when the schedule keeps line-sharing iterations on the same worker —
-  /// the measured quantity the locality scheduler tries to minimize.
-  uint64_t WorkerLinesSum = 0;
   double WallUs = 0;
   double InspectUs = 0;  ///< Inspector scans charged to this invocation.
   double RollbackUs = 0; ///< Fault-containment snapshot restore.
@@ -218,7 +201,6 @@ struct LoopHealth {
   double AnalysisPct = 0;     ///< Analysis tax share of loop wall time.
   double WallUs = 0;          ///< Total wall microseconds across invocations.
   uint64_t FootprintLines = 0; ///< Max per-invocation total footprint.
-  uint64_t WorkerLines = 0;    ///< Max per-invocation worker-lines sum.
   uint64_t SampledAccesses = 0;
   /// Invocation counts by dispatch tier: static (parallel on a static
   /// proof, no inspection), conditional (inspector decided, pass or fail),
@@ -340,7 +322,6 @@ public:
   std::string Engine = "interp";
   unsigned Threads = 1;
   std::string Schedule;
-  std::string Locality;
   double InspectUs = 0;
   double RollbackUs = 0;
   double ReplayUs = 0;
@@ -468,7 +449,6 @@ private:
     double AvgBusySumUs = 0; ///< Sum over invocations of mean worker busy.
     ReuseHistogram Hist;
     uint64_t FootprintLines = 0;
-    uint64_t WorkerLines = 0;
     bool SawParallel = false, SawCondPass = false, SawCondFail = false,
          SawSerialSmall = false;
     /// Invocation counts by dispatch tier (static / conditional / serial /

@@ -9,7 +9,9 @@
 
 #include "support/Json.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 using namespace iaa;
 using namespace iaa::server;
@@ -61,6 +63,17 @@ bool asBool(const json::Value &V, bool &Out) {
   return true;
 }
 
+/// Every top-level request member the grammar (Protocol.h) defines.
+constexpr const char *RequestFields[] = {
+    "id", "op", "source", "mode", "threads", "schedule", "chunk", "engine",
+    "audit", "runtime_checks", "on_fault", "simulate", "profile", "counters",
+    "remarks", "trace", "deadline_ms", "mem_limit_mb"};
+
+bool isRequestField(const std::string &Name) {
+  return std::find(std::begin(RequestFields), std::end(RequestFields),
+                   Name) != std::end(RequestFields);
+}
+
 } // namespace
 
 std::optional<Request> server::parseRequest(const std::string &Line,
@@ -79,6 +92,13 @@ std::optional<Request> server::parseRequest(const std::string &Line,
     Err = "request must be a JSON object";
     return std::nullopt;
   }
+  // A misspelled or retired field would otherwise be ignored silently,
+  // running the request without the option the client thinks it set.
+  for (const auto &Member : Doc->Members)
+    if (!isRequestField(Member.first)) {
+      Err = "unknown field '" + Member.first + "'";
+      return std::nullopt;
+    }
 
   Request R;
   if (const json::Value *Id = Doc->member("id")) {
@@ -161,12 +181,6 @@ std::optional<Request> server::parseRequest(const std::string &Line,
   if (const json::Value *V = Doc->member("engine")) {
     if (!V->isString() || !interp::parseEngine(V->S, R.Engine)) {
       Err = "'engine' must be interp, vm, or both";
-      return std::nullopt;
-    }
-  }
-  if (const json::Value *V = Doc->member("locality")) {
-    if (!V->isString() || !sched::parseLocalityMode(V->S, R.Locality)) {
-      Err = "'locality' must be off, model, or reorder";
       return std::nullopt;
     }
   }

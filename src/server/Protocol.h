@@ -16,18 +16,18 @@
 ///                 "mode"?: "full"|"noiaa"|"apo",
 ///                 "threads"?: int, "schedule"?: string, "chunk"?: int,
 ///                 "engine"?: "interp"|"vm"|"both",
-///                 "locality"?: "off"|"model"|"reorder",
 ///                 "audit"?: "off"|"warn"|"strict",
 ///                 "runtime_checks"?: bool, "on_fault"?: "report"|"replay",
 ///                 "simulate"?: bool, "profile"?: bool, "counters"?: bool,
-///                 "remarks"?: bool,
+///                 "remarks"?: bool, "trace"?: bool,
 ///                 "deadline_ms"?: int, "mem_limit_mb"?: int }
 ///   response := { "id": string, "status": "ok" | "pong" | "bye" | "error"
 ///                 | "fault" | "shed", ... }
 ///
 /// parseRequest() is the hostile-input boundary: it must map every
-/// malformed, truncated, oversized, or type-confused frame to a structured
-/// error — never crash, never accept an out-of-range value. The fuzz tests
+/// malformed, truncated, oversized, or type-confused frame — and every
+/// member the grammar does not define — to a structured error; never
+/// crash, never accept an out-of-range value. The fuzz tests
 /// (DaemonProtocol.*) hold it to that.
 ///
 //===----------------------------------------------------------------------===//
@@ -37,7 +37,6 @@
 
 #include "interp/Interpreter.h"
 #include "interp/ThreadPool.h"
-#include "sched/FootprintModel.h"
 #include "verify/PlanAudit.h"
 #include "xform/Parallelizer.h"
 
@@ -69,7 +68,6 @@ struct Request {
   interp::Schedule Sched = interp::Schedule::Static;
   int64_t ChunkSize = 0;
   interp::ExecEngine Engine = interp::ExecEngine::Interp;
-  sched::LocalityMode Locality = sched::LocalityMode::Off;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RuntimeChecks = false;
   /// Abort is refused at parse time: a tenant must never be able to ask

@@ -93,7 +93,6 @@ Response Session::handleRun(const Request &R) {
   Opts.Sched = R.Sched;
   Opts.ChunkSize = R.ChunkSize;
   Opts.Engine = R.Engine;
-  Opts.Locality = R.Locality;
   Opts.RuntimeChecks = R.RuntimeChecks;
   Opts.OnFault = R.OnFault; // Abort was refused at the protocol boundary.
   Opts.Simulate = R.Simulate;

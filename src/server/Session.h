@@ -107,13 +107,12 @@ private:
   Response handleStats(const Request &R);
 
   /// Per-program execution state, kept across requests so repeat
-  /// submissions reuse inspector verdicts, locality permutations, model
-  /// picks, and the artifact's shared bytecode. Content-keyed (flags +
-  /// full source) and bounded: past MaxPrograms entries the
-  /// least-recently-used state is recycled — releasing its artifact pin
-  /// and interpreter (with any private pool) — so a long-lived connection
-  /// cycling through distinct programs cannot grow daemon memory without
-  /// bound, mirroring the bounded trace ring.
+  /// submissions reuse inspector verdicts and the artifact's shared
+  /// bytecode. Content-keyed (flags + full source) and bounded: past
+  /// MaxPrograms entries the least-recently-used state is recycled —
+  /// releasing its artifact pin and interpreter (with any private pool) —
+  /// so a long-lived connection cycling through distinct programs cannot
+  /// grow daemon memory without bound, mirroring the bounded trace ring.
   struct ProgramState {
     std::shared_ptr<const Artifact> Art; ///< Pins the Program + plans.
     std::unique_ptr<interp::Interpreter> Interp;

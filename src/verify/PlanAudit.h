@@ -95,13 +95,6 @@ struct LoopAudit {
   /// "race-free provided the plan's recorded runtime checks pass at run
   /// time" — the serial fallback taken when they fail is sound either way.
   bool Conditional = false;
-  /// True when the audit certifies the plan *permutation-safe*: once the
-  /// recorded obligations hold (and, for conditional plans, the runtime
-  /// checks pass), iterations are pairwise independent, so the executor may
-  /// run them in any bijective order — in particular the inspector's
-  /// locality reorder, which permutes the iteration space and pins the
-  /// original final iteration last to preserve last-value semantics.
-  bool PermutationSafe = false;
   std::vector<ObligationCheck> Obligations;
   /// Present iff Verdict == Rejected.
   std::optional<AuditCounterexample> Counterexample;

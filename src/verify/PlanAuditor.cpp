@@ -106,8 +106,6 @@ std::string LoopAudit::str() const {
   std::string Out = Label + ": " + auditVerdictName(Verdict);
   if (Conditional)
     Out += " (conditional on runtime checks)";
-  if (PermutationSafe)
-    Out += " [permutation-safe]";
   if (!Detail.empty())
     Out += " — " + Detail;
   for (const ObligationCheck &O : Obligations)
@@ -1118,25 +1116,6 @@ LoopAudit PlanAuditor::auditLoop(const DoStmt *L,
   Out.Label = L->label();
   LoopAuditContext Ctx(*this, L, Plan, Out);
   Ctx.run();
-  // Permutation safety rides on the main verdict: a certified plan proved
-  // every iteration pair independent (given its obligations and, for
-  // conditional plans, its runtime checks), so any bijective execution
-  // order is race-free, and the executor's reorder pass keeps last-value
-  // semantics by pinning the original final iteration to the last slot.
-  Out.PermutationSafe = Out.Verdict == AuditVerdict::Certified;
-  {
-    ObligationCheck Perm;
-    Perm.Kind = "permutation";
-    Perm.Subject = Out.Label;
-    Perm.Ok = Out.PermutationSafe;
-    Perm.Detail =
-        Out.PermutationSafe
-            ? "iterations pairwise independent; any execution order with "
-              "the final iteration pinned last reproduces serial results"
-            : "not certified, so a reordered schedule could realize a "
-              "cross-iteration conflict";
-    Out.Obligations.push_back(std::move(Perm));
-  }
   ++verify_loops_audited;
   if (Out.Conditional && Out.Verdict == AuditVerdict::Certified)
     ++verify_conditional_certified;
@@ -1196,17 +1175,6 @@ unsigned iaa::verify::recordAudit(xform::PipelineResult &R,
           P.RuntimeConditional = true;
           P.RuntimeChecks = std::move(P.FallbackChecks);
           P.FallbackChecks.clear();
-          P.LocalityIndexArray = nullptr;
-          for (const deptest::RuntimeCheck &C : P.RuntimeChecks) {
-            if (!C.Index)
-              continue;
-            if (!P.LocalityIndexArray)
-              P.LocalityIndexArray = C.Index;
-            if (C.Kind == deptest::RuntimeCheckKind::InjectiveOnRange) {
-              P.LocalityIndexArray = C.Index;
-              break;
-            }
-          }
           ToConditional = true;
         } else {
           // Strict demotion means serial, full stop: an uncertifiable

@@ -11,9 +11,9 @@
 /// (vm/Compiler.h) flattens the AST walk into a linear instruction stream
 /// over typed register files (int64 and double), and the VM (vm/Vm.h)
 /// executes the stream once per iteration of a dispensed chunk. Everything
-/// around the body — scheduling, privatization, reductions, locality
-/// reordering, fault rollback — stays in the interpreter's parallel
-/// dispatch; the bytecode only replaces the per-iteration tree walk.
+/// around the body — scheduling, privatization, reductions, fault rollback
+/// — stays in the interpreter's parallel dispatch; the bytecode only
+/// replaces the per-iteration tree walk.
 ///
 /// Memory is addressed through *slots*: one per referenced symbol, resolved
 /// once per chunk to a raw buffer pointer (the worker's private override or

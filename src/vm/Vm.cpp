@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 using namespace iaa;
 using namespace iaa::interp;
@@ -122,7 +121,7 @@ struct Machine {
             Prog.Slots[Slot].Sym, /*HasValue=*/true, Sub, Ext);
   }
 
-  int64_t run() {
+  void run() {
     prof::LoopRecorder *Rec = C.Rec;
     uint32_t LocalSkip = 1;
     uint32_t &Skip = C.ProfSkip ? *C.ProfSkip : LocalSkip;
@@ -136,11 +135,8 @@ struct Machine {
     // pays one predictable branch per poll.
     const CancelToken *Cancel = C.Cancel;
     const Instr *Code = Prog.Code.data();
-    int64_t MaxIter = std::numeric_limits<int64_t>::min();
 
-    for (int64_t Pos = C.First; Pos <= C.Last; ++Pos) {
-      int64_t Iter = C.Order ? (*C.Order)[Pos - C.Lo] : Pos;
-
+    for (int64_t Iter = C.First; Iter <= C.Last; ++Iter) {
       if (Cancel && Cancel->cancelled())
         rootFault(FaultKind::DeadlineExceeded, DeadlineDetail, Iter);
       if (C.Injector)
@@ -434,16 +430,14 @@ struct Machine {
           break;
         }
       }
-    IterDone:
-      MaxIter = std::max(MaxIter, Iter);
+    IterDone:;
     }
-    return MaxIter;
   }
 };
 
 } // namespace
 
-int64_t vm::runChunk(const LoopProgram &Prog, const ChunkContext &C) {
+void vm::runChunk(const LoopProgram &Prog, const ChunkContext &C) {
   Machine M(Prog, C);
-  return M.run();
+  M.run();
 }

@@ -9,11 +9,11 @@
 /// Executes a LoopProgram over one dispensed iteration chunk. The VM is a
 /// drop-in replacement for the interpreter's per-iteration tree walk inside
 /// RunChunk: the surrounding machinery — WorkerPool, ChunkDispenser,
-/// privatization overrides, locality reordering, fault containment — is
-/// untouched. Slot pointers are resolved once per chunk (override else
-/// shared buffer), which is where the speedup comes from; faults raise the
-/// same structured FaultException the tree walk would, so the trap /
-/// rollback / serial-replay pipeline works on VM chunks unchanged.
+/// privatization overrides, fault containment — is untouched. Slot
+/// pointers are resolved once per chunk (override else shared buffer),
+/// which is where the speedup comes from; faults raise the same structured
+/// FaultException the tree walk would, so the trap / rollback /
+/// serial-replay pipeline works on VM chunks unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,11 +42,7 @@ struct ChunkContext {
   interp::Memory *Mem = nullptr;
   /// The worker's privatization overrides (null when none).
   std::unordered_map<unsigned, interp::Buffer> *Overrides = nullptr;
-  /// Locality permutation: dispensed position -> original iteration
-  /// (null when executing in dispensed order).
-  const std::vector<int64_t> *Order = nullptr;
-  int64_t Lo = 0;    ///< Loop lower bound (Order is indexed by Pos - Lo).
-  int64_t First = 0; ///< Chunk bounds, inclusive, in dispensed positions.
+  int64_t First = 0; ///< Chunk bounds, inclusive.
   int64_t Last = 0;
   unsigned Worker = 0;
   /// Test-only fault injection (null in production).
@@ -60,12 +56,11 @@ struct ChunkContext {
   uint32_t *ProfSkip = nullptr;
 };
 
-/// Runs \p Prog for every iteration of the chunk described by \p C and
-/// returns the highest *original* iteration number executed (the
-/// last-value writeback needs it under reordering). Faults — bounds,
-/// div-by-zero, bad step, while iteration guard, deadline, injected —
-/// throw FaultException with the same attribution the tree walk produces.
-int64_t runChunk(const LoopProgram &Prog, const ChunkContext &C);
+/// Runs \p Prog for every iteration of the chunk described by \p C.
+/// Faults — bounds, div-by-zero, bad step, while iteration guard, deadline,
+/// injected — throw FaultException with the same attribution the tree walk
+/// produces.
+void runChunk(const LoopProgram &Prog, const ChunkContext &C);
 
 } // namespace vm
 } // namespace iaa

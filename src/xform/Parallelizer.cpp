@@ -363,19 +363,6 @@ PipelineResult iaa::xform::parallelize(Program &P, PipelineMode Mode) {
       // are dependent in Final and have no candidates, so AllCheckable
       // already excludes them.
       if (AnyDependent && AllCheckable) {
-        // Record the gather source for the locality scheduler: prefer an
-        // injectivity check's index (the scatter target map) over segment
-        // or bounds checks.
-        for (const auto &C : Checks) {
-          if (!C.Index)
-            continue;
-          if (!Plan.LocalityIndexArray)
-            Plan.LocalityIndexArray = C.Index;
-          if (C.Kind == deptest::RuntimeCheckKind::InjectiveOnRange) {
-            Plan.LocalityIndexArray = C.Index;
-            break;
-          }
-        }
         Plan.RuntimeChecks = std::move(Checks);
         Plan.RuntimeConditional = true;
         Rep.RuntimeConditional = true;

@@ -76,13 +76,6 @@ struct LoopPlan {
   /// The runtime checks a recurrence-promoted loop would have carried
   /// without the facts (empty for plans that are not recurrence-promoted).
   std::vector<deptest::RuntimeCheck> FallbackChecks;
-  /// The index array driving the loop's irregular accesses (an injective
-  /// gather/scatter check's index when one exists, else the first checked
-  /// index array). The locality scheduler treats it as the gather source:
-  /// the footprint model scores the loop as a gather, and the inspector's
-  /// reorder pass buckets iterations by the cache line its entries target.
-  /// Null when the loop has no runtime-checked index array.
-  const mf::Symbol *LocalityIndexArray = nullptr;
   /// Every symbol the loop body MAY write (transitively through calls),
   /// including the index variable — the loop's conservative write
   /// footprint. The fault-containment runtime snapshots exactly this set

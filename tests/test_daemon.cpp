@@ -235,6 +235,32 @@ TEST(DaemonProtocol, AbortFaultActionIsRefused) {
                "ok");
 }
 
+TEST(DaemonProtocol, UnknownFieldsAreRejected) {
+  // A member outside the grammar is an error, never silently ignored: a
+  // misspelled deadline would otherwise run with no deadline at all, and
+  // a retired field would quietly stop meaning anything.
+  SessionHarness H;
+  Session S(H.env());
+  const std::pair<const char *, const char *> Cases[] = {
+      {"deadline_m", "\"deadline_m\": 50"},
+      {"locality", "\"locality\": \"off\""},
+  };
+  for (const auto &[Field, Extra] : Cases) {
+    std::string Out =
+        S.handleLine(requestLine("u", "run", healthySource(), Extra));
+    std::optional<json::Value> V = json::parse(Out);
+    ASSERT_TRUE(V.has_value()) << Out;
+    EXPECT_EQ(V->member("status")->S, "error") << Out;
+    EXPECT_EQ(V->member("error")->S,
+              "unknown field '" + std::string(Field) + "'")
+        << Out;
+  }
+  // The same source with only grammar fields runs.
+  expectStatus(S, requestLine("u", "run", healthySource(),
+                              "\"deadline_ms\": 60000"),
+               "ok");
+}
+
 TEST(DaemonProtocol, TruncatedFramesNeverCrash) {
   SessionHarness H;
   Session S(H.env());

@@ -86,8 +86,8 @@ TEST(WorkerPool, SingleWorkerRunsInline) {
 /// checks that the chunks exactly partition [Lo, Up] in increasing order,
 /// per worker and globally.
 void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers, Schedule S,
-                      int64_t ChunkSize, int64_t Align = 1) {
-  ChunkDispenser D(Lo, Up, Workers, S, ChunkSize, Align);
+                      int64_t ChunkSize) {
+  ChunkDispenser D(Lo, Up, Workers, S, ChunkSize);
   std::set<int64_t> Seen;
   std::vector<int64_t> LastPerWorker(Workers, INT64_MIN);
   unsigned Chunks = 0;
@@ -109,14 +109,6 @@ void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers, Schedule S,
       EXPECT_LE(First, Last) << "empty chunks must never be dispensed";
       EXPECT_GT(First, LastPerWorker[W])
           << "a worker's chunks must be increasing";
-      if (Align > 1) {
-        EXPECT_EQ((First - Lo) % Align, 0)
-            << "chunk start " << First << " not aligned to " << Align;
-        if (Last != Up) {
-          EXPECT_EQ((Last - Lo + 1) % Align, 0)
-              << "interior chunk end " << Last << " not aligned to " << Align;
-        }
-      }
       LastPerWorker[W] = Last;
       for (int64_t I = First; I <= Last; ++I)
         EXPECT_TRUE(Seen.insert(I).second)
@@ -158,43 +150,6 @@ TEST(ChunkDispenser, GuidedFloorTailNeverOvershootsOrStarves) {
   for (unsigned T : {1u, 2u, 4u, 7u})
     for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(5), int64_t(4)})
       expectExactCover(1, 3, T, Schedule::Guided, ChunkSize);
-}
-
-TEST(ChunkDispenser, AlignedChunksStillPartitionExactly) {
-  // The locality model asks for line-aligned chunk boundaries; alignment
-  // must never change which iterations run, only where chunks break.
-  for (Schedule S : {Schedule::Static, Schedule::Dynamic, Schedule::Guided})
-    for (unsigned T : {1u, 2u, 4u, 7u})
-      for (int64_t Align : {int64_t(2), int64_t(8)})
-        for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(5)}) {
-          expectExactCover(1, 100, T, S, ChunkSize, Align);
-          expectExactCover(1, 6, T, S, ChunkSize, Align);
-          expectExactCover(-3, 11, T, S, ChunkSize, Align);
-          expectExactCover(5, 5, T, S, ChunkSize, Align);
-        }
-}
-
-TEST(ChunkDispenser, AlignOneMatchesUnalignedDispensing) {
-  // Align = 1 must be byte-for-byte the old dispenser: same chunk
-  // sequence per worker, not merely the same coverage.
-  for (Schedule S : {Schedule::Static, Schedule::Dynamic, Schedule::Guided}) {
-    ChunkDispenser A(1, 100, 4, S, 5);
-    ChunkDispenser B(1, 100, 4, S, 5, 1);
-    for (unsigned W = 0; W < 4; ++W) {
-      int64_t AF, AL, BF, BL;
-      unsigned AI, BI;
-      bool AOk, BOk;
-      do {
-        AOk = A.next(W, AF, AL, AI);
-        BOk = B.next(W, BF, BL, BI);
-        ASSERT_EQ(AOk, BOk);
-        if (AOk) {
-          EXPECT_EQ(AF, BF);
-          EXPECT_EQ(AL, BL);
-        }
-      } while (AOk);
-    }
-  }
 }
 
 TEST(ChunkDispenser, ZeroTripSpaceDispensesNothing) {

@@ -124,8 +124,7 @@ struct Harness {
 
   /// Runs with runtime checks enabled and returns the stats.
   ExecStats runChecked(Memory *OutMem = nullptr, unsigned Threads = 4,
-                       Schedule S = Schedule::Static,
-                       sched::LocalityMode L = sched::LocalityMode::Off) {
+                       Schedule S = Schedule::Static) {
     Interpreter I(*P);
     ExecOptions Opts;
     Opts.Plans = &Plan;
@@ -133,7 +132,6 @@ struct Harness {
     Opts.Sched = S;
     Opts.MinParallelWork = 0;
     Opts.RuntimeChecks = true;
-    Opts.Locality = L;
     ExecStats Stats;
     Memory M = I.run(Opts, &Stats);
     if (OutMem)
@@ -353,14 +351,13 @@ TEST(RuntimeCheckCache, WriteToIndexArrayInvalidates) {
 }
 
 TEST(RuntimeCheckCache, WriteToSegmentLengthArrayInvalidates) {
-  // Regression: the verdict (and reorder-permutation) cache key must cover
-  // *every* array the checks read — Length arrays included — not just the
-  // primary index array. Here the CRS offset array colptr never changes,
-  // but the segment-length array seglen is widened between the two
-  // invocations so that adjacent segments overlap. A cache keyed on colptr
-  // alone would serve the stale Pass verdict (and, under --locality=
-  // reorder, a stale permutation) and race; the second invocation must
-  // instead re-inspect, fail, and fall back to serial.
+  // Regression: the verdict cache key must cover *every* array the checks
+  // read — Length arrays included — not just the primary index array. Here
+  // the CRS offset array colptr never changes, but the segment-length array
+  // seglen is widened between the two invocations so that adjacent
+  // segments overlap. A cache keyed on colptr alone would serve the stale
+  // Pass verdict and race; the second invocation must instead re-inspect,
+  // fail, and fall back to serial.
   Harness R(R"(program t
     integer i, j, k, n
     integer colptr(101), colcnt(100), seglen(100)
@@ -391,8 +388,7 @@ TEST(RuntimeCheckCache, WriteToSegmentLengthArrayInvalidates) {
   double Want = R.serialChecksum();
 
   Memory M(*R.P);
-  ExecStats Stats =
-      R.runChecked(&M, 4, Schedule::Static, sched::LocalityMode::Reorder);
+  ExecStats Stats = R.runChecked(&M, 4, Schedule::Static);
   EXPECT_EQ(M.checksumExcluding(deadPrivateIds(R.Plan)), Want);
   EXPECT_EQ(Stats.InspectionsRun, 2u)
       << "widening seglen must force re-inspection even though the "
@@ -402,14 +398,12 @@ TEST(RuntimeCheckCache, WriteToSegmentLengthArrayInvalidates) {
          "invocation";
   EXPECT_EQ(Stats.RuntimeCheckFails, 1u)
       << "the widened segments overlap, so the re-inspection must fail";
-  EXPECT_EQ(Stats.LocalityReordersCached, 0u)
-      << "no stale permutation may be served after a source array changed";
 }
 
 TEST(RuntimeCheckCache, UntouchedSegmentLengthArrayStillHits) {
   // Control for the poisoning regression above: with seglen untouched
-  // between invocations, the second one must reuse both the verdict and
-  // the reorder permutation (only vals — not a check source — changed).
+  // between invocations, the second one must reuse the verdict (only
+  // vals — not a check source — changed).
   Harness R(R"(program t
     integer i, j, k, n
     integer colptr(101), colcnt(100), seglen(100)
@@ -435,14 +429,11 @@ TEST(RuntimeCheckCache, UntouchedSegmentLengthArrayStillHits) {
   double Want = R.serialChecksum();
 
   Memory M(*R.P);
-  ExecStats Stats =
-      R.runChecked(&M, 4, Schedule::Static, sched::LocalityMode::Reorder);
+  ExecStats Stats = R.runChecked(&M, 4, Schedule::Static);
   EXPECT_EQ(M.checksumExcluding(deadPrivateIds(R.Plan)), Want);
   EXPECT_EQ(Stats.InspectionsRun, 1u);
   EXPECT_EQ(Stats.InspectionsCached, 1u);
   EXPECT_EQ(Stats.RuntimeCheckFails, 0u);
-  EXPECT_EQ(Stats.LocalityReorders, 1u);
-  EXPECT_EQ(Stats.LocalityReordersCached, 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,12 +10,11 @@
 /// bit-identical final-memory checksums (or matching fault kinds), across
 /// every schedule x thread-count combination, on the Fig. 16 benchmark
 /// reconstructions and Fig. 1(a)'s while loop, the recurrence-promoted
-/// kernels, conditional-dispatch loops (inspection pass and fail), a
-/// locality-reordered dispatch, and a mid-chunk fault with rollback +
-/// serial replay. Compiler-level tests pin the fusion and scalar
-/// peepholes, while lowering and the bailout taxonomy; fault tests pin
-/// tree-walk attribution inside while bodies and deadline polls inside long
-/// VM chunks.
+/// kernels, conditional-dispatch loops (inspection pass and fail), and a
+/// mid-chunk fault with rollback + serial replay. Compiler-level tests pin
+/// the fusion and scalar peepholes, while lowering and the bailout
+/// taxonomy; fault tests pin tree-walk attribution inside while bodies and
+/// deadline polls inside long VM chunks.
 ///
 /// Suite names here start with "Vm" so the CI ThreadSanitizer job's
 /// --gtest_filter picks them up.
@@ -385,23 +384,6 @@ TEST(VmDifferential, ConditionalDispatchPassAndFail) {
     Harness H(DuplicateScatter);
     ExecStats Stats = H.runBoth(4, Schedule::Static, "dup");
     EXPECT_GT(Stats.RuntimeCheckFails, 0u);
-  }
-}
-
-TEST(VmDifferential, LocalityReorderedDispatch) {
-  Harness H(PermutationScatter);
-  double Want = H.serialChecksum();
-  for (unsigned T : {2u, 4u}) {
-    Interpreter I(*H.P);
-    ExecOptions Opts = H.baseOptions(T, Schedule::Static, ExecEngine::Vm);
-    Opts.Locality = sched::LocalityMode::Reorder;
-    ExecStats Stats;
-    Memory M = I.run(Opts, &Stats);
-    ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
-    EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want) << "T=" << T;
-    EXPECT_GT(Stats.VmParallelLoopRuns, 0u) << "T=" << T;
-    EXPECT_GT(Stats.LocalityReorders, 0u)
-        << "T=" << T << ": the permuted dispatch must actually be in force";
   }
 }
 

@@ -60,20 +60,15 @@ inline Compiled compile(const benchprogs::BenchmarkProgram &B,
   return C;
 }
 
-/// Executes \p C with \p Threads workers; returns wall seconds and fills
-/// \p Stats when given.
-inline double execute(const Compiled &C, unsigned Threads,
-                      interp::ExecStats *Stats = nullptr) {
+/// Executes \p C as the plan-free serial tree walk; returns wall seconds and
+/// fills \p Stats when given.
+inline double executeSerial(const Compiled &C,
+                            interp::ExecStats *Stats = nullptr) {
   interp::Interpreter I(*C.Program);
-  interp::ExecOptions Opts;
   interp::ExecStats Local;
   if (!Stats)
     Stats = &Local;
-  if (Threads > 1) {
-    Opts.Plans = &C.Pipeline;
-    Opts.Threads = Threads;
-  }
-  I.run(Opts, Stats);
+  I.run({}, Stats);
   return Stats->TotalSeconds;
 }
 

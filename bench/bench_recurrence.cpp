@@ -143,13 +143,11 @@ RunResult runConfig(const Compiled &C, unsigned Threads, bool RuntimeChecks,
                     interp::Memory *OutMem = nullptr) {
   interp::Interpreter I(*C.Program);
   interp::ExecOptions Opts;
-  if (Threads > 1) {
-    Opts.Plans = &C.Pipeline;
-    Opts.Threads = Threads;
-    Opts.Sched = S;
-    Opts.Simulate = true;
-    Opts.RuntimeChecks = RuntimeChecks;
-  }
+  Opts.Plans = &C.Pipeline;
+  Opts.Threads = Threads;
+  Opts.Sched = S;
+  Opts.Simulate = true;
+  Opts.RuntimeChecks = RuntimeChecks;
   RunResult R;
   interp::Memory M = I.run(Opts, &R.Stats);
   R.Seconds = R.Stats.TotalSeconds;

@@ -103,12 +103,10 @@ struct RunResult {
 RunResult runConfig(const Compiled &C, unsigned Threads, bool RuntimeChecks) {
   interp::Interpreter I(*C.Program);
   interp::ExecOptions Opts;
-  if (Threads > 1) {
-    Opts.Plans = &C.Pipeline;
-    Opts.Threads = Threads;
-    Opts.Simulate = true;
-    Opts.RuntimeChecks = RuntimeChecks;
-  }
+  Opts.Plans = &C.Pipeline;
+  Opts.Threads = Threads;
+  Opts.Simulate = true;
+  Opts.RuntimeChecks = RuntimeChecks;
   RunResult R;
   I.run(Opts, &R.Stats);
   R.Seconds = R.Stats.TotalSeconds;

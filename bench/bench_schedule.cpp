@@ -7,8 +7,9 @@
 ///
 /// Compares the runtime scheduling policies (static, dynamic, guided) on the
 /// Fig. 16 kernels in the simulated-multiprocessor mode: per-kernel speedup
-/// over the serial run plus a load-imbalance figure derived from the chunk
-/// timings (max * chunks / sum; 1.0 is perfectly balanced). The Fig. 16
+/// over the 1-processor run of the same plans on the same engine (the VM,
+/// one chunk per dispatch) plus a load-imbalance figure derived from the
+/// chunk timings (max * chunks / sum; 1.0 is perfectly balanced). The Fig. 16
 /// kernels are mostly regular, so static scheduling is expected to hold its
 /// own; the point of the table is that dynamic/guided close the gap on the
 /// ragged loops without losing anything elsewhere. Emits
@@ -71,12 +72,11 @@ void printSchedules() {
 
   for (const auto &B : benchprogs::allBenchmarks(Scale)) {
     Compiled C = compile(B, xform::PipelineMode::Full);
-    interp::Interpreter I(*C.Program);
-    interp::ExecStats SerialStats;
-    I.run({}, &SerialStats);
-    double Serial = SerialStats.TotalSeconds;
+    double Serial =
+        runSchedStable(C, 1, interp::Schedule::Static, /*ChunkSize=*/0)
+            .Seconds;
 
-    std::printf("%s (serial %.3fs)\n", B.Name.c_str(), Serial);
+    std::printf("%s (1p %.3fs)\n", B.Name.c_str(), Serial);
     std::printf("  %-8s", "schedule");
     for (unsigned T : Threads)
       std::printf("    %3up (imbal)", T);

@@ -47,14 +47,14 @@ void printTable2() {
 
     Compiled C = compile(B, xform::PipelineMode::Full);
     interp::ExecStats Stats;
-    double SeqSecs = execute(C, /*Threads=*/1, &Stats);
+    double SeqSecs = executeSerial(C, &Stats);
 
     // The same serial run with span collection switched on: the disabled
     // path costs one relaxed load per instrumentation site, so the two
     // timings should agree to noise (recorded in the JSON as evidence).
     trace::enable(true);
     interp::ExecStats TracedStats;
-    double TracedSecs = execute(C, /*Threads=*/1, &TracedStats);
+    double TracedSecs = executeSerial(C, &TracedStats);
     trace::enable(false);
     size_t TraceEvents = trace::eventCount();
     trace::clear();

@@ -52,7 +52,7 @@ void printTable3() {
     Compiled C = compile(B, xform::PipelineMode::Full);
 
     interp::ExecStats Seq;
-    double Total = execute(C, 1, &Seq);
+    double Total = executeSerial(C, &Seq);
 
     std::vector<std::string> Labels = B.IrregularLoops;
     Labels.insert(Labels.end(), B.HelperLoops.begin(), B.HelperLoops.end());

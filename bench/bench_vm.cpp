@@ -1,20 +1,22 @@
-//===- bench/bench_vm.cpp - Bytecode VM vs tree-walk benchmark ------------===//
+//===- bench/bench_vm.cpp - Engine gain and parallel gain of the VM -------===//
 //
 // Part of the IAA project, an open-source reproduction of
 // "Compiler Analysis of Irregular Memory Accesses" (Lin & Padua, PLDI 2000).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Measures what the register-bytecode engine buys over the tree-walking
-/// interpreter on the Fig. 16 benchmark reconstructions plus a hot
-/// permutation-scatter microkernel. Every kernel runs at T=4 under both
-/// --engine=interp and --engine=vm (best of three), reporting the time
-/// spent in the paper's irregular loops (where the engines differ; serial
-/// and analysis work is engine-invariant), whole-program time, the VM
-/// speedup, how many loop bodies compiled to bytecode vs bailed to the
-/// tree walk, and whether both engines' results stayed bit-identical to
-/// the serial reference. Emits BENCH_vm.json; CI asserts every kernel's
-/// checksum and that the VM is never slower on the irregular loops.
+/// Measures what the register-bytecode engine buys on the Fig. 16 benchmark
+/// reconstructions plus a hot permutation-scatter microkernel, one factor
+/// at a time. Each kernel runs three ways (best of three each): the
+/// plan-free serial tree walk, the VM at T=1, and the VM at T=4 (real
+/// threads). Engine gain is serial tree walk over VM at T=1 — the same
+/// thread count on both sides; parallel gain is VM at T=1 over VM at T=4 —
+/// the same engine on both sides. Times are the paper's irregular loops
+/// (ExecStats::LoopSeconds); whole-program times, how many loop bodies
+/// compiled vs bailed, and whether every run stayed bit-identical to the
+/// serial reference are reported alongside. Emits BENCH_vm.json; CI
+/// asserts every kernel's checksum, zero bailouts, and that the VM never
+/// loses to the tree walk on the irregular loops.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +24,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
+#include <string>
 
 using namespace iaa;
 using namespace iaa::bench;
@@ -66,25 +70,27 @@ benchprogs::BenchmarkProgram scatterMicro(double Scale) {
   return B;
 }
 
-struct EngineRun {
+struct TimedRun {
   double IrrSeconds = std::numeric_limits<double>::infinity();
   double TotalSeconds = std::numeric_limits<double>::infinity();
   unsigned VmLoops = 0, VmBailouts = 0;
   bool ChecksumOk = true;
 };
 
-EngineRun runEngine(const Compiled &C,
-                    const std::vector<std::string> &IrrLoops,
-                    interp::ExecEngine E, double Want, int Reps) {
-  EngineRun Best;
+/// Best of \p Reps runs of \p C: the plan-free serial tree walk when
+/// \p VmThreads is 0, else the VM on that many real threads.
+TimedRun runTimed(const Compiled &C, const std::vector<std::string> &IrrLoops,
+                  unsigned VmThreads, double Want, int Reps) {
+  TimedRun Best;
   for (int Rep = 0; Rep < Reps; ++Rep) {
     interp::Interpreter I(*C.Program);
     interp::ExecOptions Opts;
-    Opts.Plans = &C.Pipeline;
-    Opts.Threads = 4;
-    Opts.MinParallelWork = 0;
-    Opts.RuntimeChecks = true;
-    Opts.Engine = E;
+    if (VmThreads) {
+      Opts.Plans = &C.Pipeline;
+      Opts.Threads = VmThreads;
+      Opts.MinParallelWork = 0;
+      Opts.RuntimeChecks = true;
+    }
     interp::ExecStats Stats;
     interp::Memory M = I.run(Opts, &Stats);
     Best.ChecksumOk =
@@ -112,68 +118,77 @@ void printVm() {
       benchprogs::allBenchmarks(Scale);
   Kernels.push_back(scatterMicro(Scale));
 
-  std::printf("\n=== Register-bytecode VM vs tree-walk interpreter "
-              "(irregular loops, T=4, best of 3) ===\n\n");
-  std::printf("  %-10s %12s %12s %9s  %8s %9s  %s\n", "kernel", "interp(s)",
-              "vm(s)", "speedup", "vm-loops", "bailouts", "checksum");
+  std::printf("\n=== Register-bytecode VM: engine gain (serial tree walk / "
+              "VM at T=1) and parallel gain (VM T=1 / VM T=4), irregular "
+              "loops, best of 3 ===\n\n");
+  std::printf("  %-10s %10s %10s %10s %8s %8s  %8s %9s  %s\n", "kernel",
+              "serial(s)", "vm-T1(s)", "vm-T4(s)", "engine", "parallel",
+              "vm-loops", "bailouts", "checksum");
 
   JsonReport Report("vm");
   bool AllOk = true;
-  double BestSpeedup = 0;
+  double BestEngineGain = 0;
   for (const auto &B : Kernels) {
     Compiled C = compile(B, xform::PipelineMode::Full);
-    interp::Interpreter Serial(*C.Program);
-    interp::Memory SerialMem = Serial.run({});
-    const double Want =
-        SerialMem.checksumExcluding(interp::deadPrivateIds(C.Pipeline));
+    interp::Interpreter Ref(*C.Program);
+    const double Want = Ref.run({}).checksumExcluding(
+        interp::deadPrivateIds(C.Pipeline));
 
-    EngineRun Interp =
-        runEngine(C, B.IrregularLoops, interp::ExecEngine::Interp, Want, 3);
-    EngineRun Vm =
-        runEngine(C, B.IrregularLoops, interp::ExecEngine::Vm, Want, 3);
-    bool Ok = Interp.ChecksumOk && Vm.ChecksumOk;
+    TimedRun Serial = runTimed(C, B.IrregularLoops, 0, Want, 3);
+    TimedRun Vm1 = runTimed(C, B.IrregularLoops, 1, Want, 3);
+    TimedRun Vm4 = runTimed(C, B.IrregularLoops, 4, Want, 3);
+    bool Ok = Serial.ChecksumOk && Vm1.ChecksumOk && Vm4.ChecksumOk;
     AllOk = AllOk && Ok;
-    double Speedup = Vm.IrrSeconds > 0 ? Interp.IrrSeconds / Vm.IrrSeconds : 0;
-    if (Speedup > BestSpeedup)
-      BestSpeedup = Speedup;
+    double EngineGain =
+        Vm1.IrrSeconds > 0 ? Serial.IrrSeconds / Vm1.IrrSeconds : 0;
+    double ParallelGain =
+        Vm4.IrrSeconds > 0 ? Vm1.IrrSeconds / Vm4.IrrSeconds : 0;
+    BestEngineGain = std::max(BestEngineGain, EngineGain);
+    unsigned Bailouts = std::max(Vm1.VmBailouts, Vm4.VmBailouts);
 
-    std::printf("  %-10s %12.4f %12.4f %8.2fx  %8u %9u  %s\n", B.Name.c_str(),
-                Interp.IrrSeconds, Vm.IrrSeconds, Speedup, Vm.VmLoops,
-                Vm.VmBailouts, Ok ? "ok" : "MISMATCH");
+    std::printf("  %-10s %10.4f %10.4f %10.4f %7.2fx %7.2fx  %8u %9u  %s\n",
+                B.Name.c_str(), Serial.IrrSeconds, Vm1.IrrSeconds,
+                Vm4.IrrSeconds, EngineGain, ParallelGain, Vm4.VmLoops,
+                Bailouts, Ok ? "ok" : "MISMATCH");
     Report.row({{"kernel", json::str(B.Name)},
-                {"threads", json::num(4)},
-                {"interp_seconds", json::num(Interp.IrrSeconds)},
-                {"vm_seconds", json::num(Vm.IrrSeconds)},
-                {"speedup", json::num(Speedup)},
-                {"interp_total_seconds", json::num(Interp.TotalSeconds)},
-                {"vm_total_seconds", json::num(Vm.TotalSeconds)},
-                {"vm_loops", json::num(Vm.VmLoops)},
-                {"vm_bailouts", json::num(Vm.VmBailouts)},
+                {"serial_seconds", json::num(Serial.IrrSeconds)},
+                {"vm_t1_seconds", json::num(Vm1.IrrSeconds)},
+                {"vm_t4_seconds", json::num(Vm4.IrrSeconds)},
+                {"engine_gain", json::num(EngineGain)},
+                {"parallel_gain", json::num(ParallelGain)},
+                {"serial_total_seconds", json::num(Serial.TotalSeconds)},
+                {"vm_t1_total_seconds", json::num(Vm1.TotalSeconds)},
+                {"vm_t4_total_seconds", json::num(Vm4.TotalSeconds)},
+                {"vm_loops", json::num(Vm4.VmLoops)},
+                {"vm_bailouts", json::num(Bailouts)},
                 {"checksum_ok", Ok ? "true" : "false"}});
   }
   Report.write();
 
-  std::printf("\nBest irregular-loop speedup: %.2fx. %s\n\n", BestSpeedup,
+  std::printf("\nBest irregular-loop engine gain: %.2fx. %s\n\n",
+              BestEngineGain,
               AllOk ? "All checksums bit-identical to serial."
                     : "CHECKSUM MISMATCH — see table.");
 }
 
-/// google-benchmark wrapper: the scatter microkernel per engine at T=4.
+/// google-benchmark wrapper: the scatter microkernel as the serial tree
+/// walk (arg 0) and on the VM at T=1 and T=4.
 void BM_Engine(benchmark::State &State) {
   benchprogs::BenchmarkProgram B = scatterMicro(0.05);
   Compiled C = compile(B, xform::PipelineMode::Full);
   interp::Interpreter Serial(*C.Program);
   const double Want = Serial.run({}).checksumExcluding(
       interp::deadPrivateIds(C.Pipeline));
-  auto E = static_cast<interp::ExecEngine>(State.range(0));
+  auto VmThreads = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
-    EngineRun R = runEngine(C, B.IrregularLoops, E, Want, 1);
+    TimedRun R = runTimed(C, B.IrregularLoops, VmThreads, Want, 1);
     benchmark::DoNotOptimize(R.IrrSeconds);
   }
-  State.SetLabel(interp::engineName(E));
+  State.SetLabel(VmThreads ? "vm-T" + std::to_string(VmThreads)
+                           : "serial-tree-walk");
 }
 
-BENCHMARK(BM_Engine)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Engine)->Arg(0)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -9,7 +9,7 @@
 //
 //   mfpar FILE.mf [--mode=full|noiaa|apo] [--run[=THREADS]] [--dump]
 //         [--schedule=static|dynamic|guided] [--chunk=N]
-//         [--engine=interp|vm|both] [--audit=off|warn|strict] [--race-check]
+//         [--engine=vm|both] [--audit=off|warn|strict] [--race-check]
 //         [--runtime-check[=on|off]] [--on-fault=abort|report|replay]
 //         [--stats] [--trace=out.json] [--remarks=out.jsonl]
 //         [--profile[=out.jsonl]]
@@ -18,13 +18,13 @@
 //   --run      execute the program (optionally in parallel with N threads)
 //   --schedule loop scheduling policy for parallel runs (default static)
 //   --chunk    chunk size for the scheduler (default: policy-dependent)
-//   --engine   execution engine for parallel loop bodies (default interp):
-//              vm compiles each certified loop body to register bytecode
-//              with fused gather/scatter superinstructions and runs the
-//              chunks through the VM (loops the compiler cannot lower keep
-//              the tree walk); both runs the interpreter first as a
-//              reference, then the VM, and reports a fault if the final
-//              memory images or fault verdicts diverge
+//   --engine   how dispatched loops run (default vm): vm compiles each
+//              certified loop body to register bytecode with fused
+//              gather/scatter superinstructions and runs its chunks on the
+//              VM at every thread count (a loop the compiler cannot lower
+//              runs serially); both also runs the plan-free serial tree walk
+//              as a reference and reports a fault if the final memory
+//              images or fault verdicts diverge
 //   --dump     print the normalized program after the transformation passes
 //   --annotate print the program with !$iaa parallel do directives
 //   --audit    independently re-certify every parallel-marked loop before
@@ -88,7 +88,7 @@ static int usage() {
   std::fprintf(stderr,
                "usage: mfpar [FILE.mf] [--mode=full|noiaa|apo] "
                "[--run[=THREADS]] [--schedule=static|dynamic|guided] "
-               "[--chunk=N] [--engine=interp|vm|both] "
+               "[--chunk=N] [--engine=vm|both] "
                "[--audit=off|warn|strict] [--race-check] "
                "[--runtime-check[=on|off]] [--on-fault=abort|report|replay] "
                "[--deadline-ms=N] [--mem-limit-mb=N] "
@@ -129,7 +129,7 @@ int main(int argc, char **argv) {
   unsigned Threads = 4;
   interp::Schedule Sched = interp::Schedule::Static;
   int64_t ChunkSize = 0;
-  interp::ExecEngine Engine = interp::ExecEngine::Interp;
+  interp::ExecEngine Engine = interp::ExecEngine::Vm;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RaceCheck = false;
   bool RuntimeChecks = false;
@@ -174,7 +174,7 @@ int main(int argc, char **argv) {
         return badValue("--chunk", Arg.substr(8), "a positive integer");
     } else if (Arg.rfind("--engine=", 0) == 0) {
       if (!interp::parseEngine(Arg.substr(9), Engine))
-        return badValue("--engine", Arg.substr(9), "interp, vm, or both");
+        return badValue("--engine", Arg.substr(9), "vm or both");
     } else if (Arg.rfind("--audit=", 0) == 0) {
       if (!verify::parseAuditMode(Arg.substr(8), Audit))
         return badValue("--audit", Arg.substr(8), "off, warn, or strict");
@@ -393,7 +393,8 @@ int main(int argc, char **argv) {
       return ReportFault("parallel run", ParFS);
     std::set<unsigned> Dead = interp::deadPrivateIds(R);
     std::printf("parallel run (%u simulated processors, %s schedule): %.3fs "
-                "(speedup %.2f), checksum %.6f (%s)\n",
+                "(speedup %.2f over the serial tree walk, engine and "
+                "parallel gain combined), checksum %.6f (%s)\n",
                 Threads, interp::scheduleName(Sched), ParStats.TotalSeconds,
                 SeqStats.TotalSeconds / ParStats.TotalSeconds,
                 Parallel.checksumExcluding(Dead),
@@ -401,23 +402,21 @@ int main(int argc, char **argv) {
                         Parallel.checksumExcluding(Dead)
                     ? "matches serial"
                     : "DIVERGES");
-    if (Engine != interp::ExecEngine::Interp) {
-      std::printf("engine (%s): %u loop%s compiled to bytecode, %u bailout%s "
-                  "to the tree walk, %u vm dispatch%s, %u vm chunk%s\n",
-                  interp::engineName(Engine), ParStats.VmLoopsCompiled,
-                  ParStats.VmLoopsCompiled == 1 ? "" : "s",
-                  ParStats.VmBailouts, ParStats.VmBailouts == 1 ? "" : "s",
-                  ParStats.VmParallelLoopRuns,
-                  ParStats.VmParallelLoopRuns == 1 ? "" : "es",
-                  ParStats.VmChunksRun, ParStats.VmChunksRun == 1 ? "" : "s");
-      if (Engine == interp::ExecEngine::Both)
-        std::printf("engine (both): %u differential comparison%s, "
-                    "%u mismatch%s\n",
-                    ParStats.BothComparisons,
-                    ParStats.BothComparisons == 1 ? "" : "s",
-                    ParStats.BothMismatches,
-                    ParStats.BothMismatches == 1 ? "" : "es");
-    }
+    std::printf("engine (%s): %u loop%s compiled to bytecode, %u bailout%s "
+                "run serially, %u vm dispatch%s, %u vm chunk%s\n",
+                interp::engineName(Engine), ParStats.VmLoopsCompiled,
+                ParStats.VmLoopsCompiled == 1 ? "" : "s",
+                ParStats.VmBailouts, ParStats.VmBailouts == 1 ? "" : "s",
+                ParStats.VmParallelLoopRuns,
+                ParStats.VmParallelLoopRuns == 1 ? "" : "es",
+                ParStats.VmChunksRun, ParStats.VmChunksRun == 1 ? "" : "s");
+    if (Engine == interp::ExecEngine::Both)
+      std::printf("engine (both): %u differential comparison%s, "
+                  "%u mismatch%s\n",
+                  ParStats.BothComparisons,
+                  ParStats.BothComparisons == 1 ? "" : "s",
+                  ParStats.BothMismatches,
+                  ParStats.BothMismatches == 1 ? "" : "es");
     if (RuntimeChecks) {
       std::printf("runtime checks: %u inspection%s run, %u cached verdict%s, "
                   "%u serial fallback%s\n",

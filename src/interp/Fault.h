@@ -109,7 +109,8 @@ struct RuntimeFault {
   int64_t Iteration = 0;
   /// Worker that trapped the fault (0 for serial execution).
   unsigned Worker = 0;
-  /// True when the fault was trapped inside a parallel chunk.
+  /// True when the fault was raised inside a dispatched chunk (a T=1
+  /// dispatch included).
   bool InParallel = false;
   /// True when the fault was raised by the serial replay of a rolled-back
   /// parallel loop — the attribution is then exact serial semantics.

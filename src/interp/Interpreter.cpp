@@ -35,8 +35,9 @@ using namespace iaa::mf;
 
 #define IAA_STAT_GROUP "interp"
 IAA_STAT(interp_runs, "Interpreter runs");
-IAA_STAT(interp_parallel_loop_runs, "Loop invocations executed in parallel");
-IAA_STAT(interp_chunks_run, "Iteration chunks executed by parallel loops");
+IAA_STAT(interp_parallel_loop_runs,
+         "Loop invocations dispatched (each runs on the bytecode VM)");
+IAA_STAT(interp_chunks_run, "Iteration chunks executed as bytecode");
 IAA_STAT(interp_inspections_run, "Fresh runtime-check inspections executed");
 IAA_STAT(interp_inspections_cached,
          "Runtime-check verdicts served from the version cache");
@@ -66,23 +67,17 @@ static ::iaa::stat::Statistic dispatch_replay(
     "Invocations that dispatched parallel, faulted, and were serially "
     "replayed after rollback (counted here, not in their original tier)");
 
-// Bytecode-VM engine counters (--stats group "vm").
+// Bytecode-VM compiler counters (--stats group "vm"). Dispatches and chunks
+// are the interp group's: every one runs on the VM.
 static ::iaa::stat::Statistic vm_loops_compiled(
     "vm", "vm_loops_compiled",
     "Distinct loops lowered to register bytecode");
 static ::iaa::stat::Statistic vm_bailouts(
     "vm", "vm_bailouts",
-    "Distinct loops the bytecode compiler bailed on (tree-walk fallback)");
-static ::iaa::stat::Statistic vm_parallel_loop_runs(
-    "vm", "vm_parallel_loop_runs",
-    "Parallel loop invocations executed on the bytecode VM");
-static ::iaa::stat::Statistic vm_chunks_run(
-    "vm", "vm_chunks_run", "Iteration chunks executed as bytecode");
+    "Distinct loops the bytecode compiler bailed on (run serially)");
 
 const char *iaa::interp::engineName(ExecEngine E) {
   switch (E) {
-  case ExecEngine::Interp:
-    return "interp";
   case ExecEngine::Vm:
     return "vm";
   case ExecEngine::Both:
@@ -92,9 +87,7 @@ const char *iaa::interp::engineName(ExecEngine E) {
 }
 
 bool iaa::interp::parseEngine(const std::string &Name, ExecEngine &Out) {
-  if (Name == "interp")
-    Out = ExecEngine::Interp;
-  else if (Name == "vm")
+  if (Name == "vm")
     Out = ExecEngine::Vm;
   else if (Name == "both")
     Out = ExecEngine::Both;
@@ -412,15 +405,14 @@ public:
     }
   }
 
+  /// Serial tree-walk state. Workers never tree-walk, so a frame only ever
+  /// lives on the thread that called run().
   struct Frame {
-    std::unordered_map<unsigned, Buffer> *Overrides = nullptr;
-    bool InParallel = false;
     /// Fault-attribution context: the innermost do loop being executed,
-    /// its current iteration, the worker running this frame, and whether
-    /// this is a serial replay of a rolled-back parallel loop.
+    /// its current iteration, and whether this is a serial replay of a
+    /// rolled-back dispatch.
     const DoStmt *CurLoop = nullptr;
     int64_t CurIter = 0;
-    unsigned Worker = 0;
     bool InReplay = false;
     /// Profiling sample countdown: decremented per element access while a
     /// recorder is active; hits zero on the access to sample, and the
@@ -440,7 +432,7 @@ public:
 
 private:
   /// Raises a structured fault with full attribution from \p F: enclosing
-  /// loop label, iteration, worker, parallel/replay context.
+  /// loop label, iteration, replay context.
   [[noreturn]] void fault(FaultKind Kind, SourceLoc Loc, const Frame &F,
                           std::string Detail, const Symbol *Sym = nullptr,
                           bool HasValue = false, int64_t Value = 0,
@@ -455,8 +447,6 @@ private:
       RF.HasIteration = true;
       RF.Iteration = F.CurIter;
     }
-    RF.Worker = F.Worker;
-    RF.InParallel = F.InParallel;
     RF.DuringReplay = F.InReplay;
     if (Sym)
       RF.Var = Sym->name();
@@ -473,7 +463,7 @@ private:
   /// past-the-cap "light" invocation suspends access attribution instead
   /// of leaking into the outer loop), and finalizes on destruction — so a
   /// fault unwinding out of the loop still lands a complete record.
-  /// ProfCur is only mutated here, in serial context; workers read it.
+  /// ProfCur is only mutated here, on the run() thread; VM workers read it.
   struct ProfScope {
     Exec &E;
     Frame &F;
@@ -481,10 +471,10 @@ private:
     prof::LoopRecorder *Prev = nullptr;
     uint32_t SavedSkip = 1;
 
-    ProfScope(Exec &E, Frame &F, const DoStmt *DS, bool InParallel,
-              int64_t Lo, int64_t Up, int64_t NIter)
+    ProfScope(Exec &E, Frame &F, const DoStmt *DS, int64_t Lo, int64_t Up,
+              int64_t NIter)
         : E(E), F(F) {
-      if (!E.Opts.Prof || InParallel || DS->label().empty())
+      if (!E.Opts.Prof || F.InReplay || DS->label().empty())
         return;
       Rec = E.Opts.Prof->beginLoop(DS->label(), E.Prog.numSymbols(),
                                    std::max(1u, E.Opts.Threads), Lo, Up,
@@ -542,12 +532,13 @@ private:
   }
 
   /// Test-only: raises the configured injected fault when the hook matches
-  /// this (loop, iteration, worker, context). A no-op without an injector,
-  /// so production runs pay one null check per iteration.
+  /// this serial (loop, iteration). A no-op without an injector, so
+  /// production runs pay one null check per iteration.
   void checkInjection(const DoStmt *DS, int64_t I, const Frame &F) {
     if (!Opts.Injector)
       return;
-    if (auto Inj = Opts.Injector->atIteration(DS, I, F.Worker, F.InParallel))
+    if (auto Inj = Opts.Injector->atIteration(DS, I, /*Worker=*/0,
+                                              /*InParallel=*/false))
       fault(Inj->Kind, DS->loc(), F, Inj->Detail);
   }
 
@@ -567,6 +558,14 @@ private:
     }
   };
 
+  /// Counts one invocation in a dispatch tier: the --stats counter and its
+  /// ExecStats mirror.
+  void countTier(stat::Statistic &Counter, unsigned ExecStats::*Field) {
+    ++Counter;
+    if (Stats)
+      ++(Stats->*Field);
+  }
+
   /// Appends one FaultReplay remark (capped at 64) recording a rolled-back
   /// parallel loop: the trapped fault and how the rollback resolved.
   void addFaultRemark(const DoStmt *DS, const RuntimeFault &Trapped,
@@ -583,16 +582,15 @@ private:
     Stats->FaultRemarks.push_back(std::move(R));
   }
 
-  /// Returns the bytecode program for \p DS under --engine=vm, or null when
-  /// the loop must stay on the tree walk. Compilation is memoized in the
-  /// session's bytecode store — including bailouts, so a rejected loop pays
-  /// the compile attempt only once no matter how many runs or (under a
-  /// shared store) sessions execute it. The pipeline's structural pre-check
-  /// (LoopPlan::VmBailout) short-circuits loops it already rejected.
-  const vm::LoopProgram *vmProgramFor(const DoStmt *DS,
-                                      const xform::LoopPlan *Plan) {
-    if (Opts.Engine != ExecEngine::Vm)
-      return nullptr;
+  /// Returns the bytecode compile result for \p DS, consulted only when the
+  /// loop would otherwise fork; a bailout (R.Ok false) runs the loop
+  /// serially. Compilation is memoized in the session's bytecode store —
+  /// including bailouts, so a rejected loop pays the compile attempt only
+  /// once no matter how many runs or (under a shared store) sessions
+  /// execute it. The pipeline's structural pre-check (LoopPlan::VmBailout)
+  /// short-circuits loops it already rejected.
+  const vm::CompileResult &vmProgramFor(const DoStmt *DS,
+                                        const xform::LoopPlan *Plan) {
     const vm::CompileResult &R = C.Bytecode->getOrCompile(DS, [&] {
       vm::CompileResult New;
       if (Plan && !Plan->VmEligible && !Plan->VmBailout.empty())
@@ -615,7 +613,7 @@ private:
           ++Stats->VmBailouts;
       }
     }
-    return R.Ok ? &R.Prog : nullptr;
+    return R;
   }
 
   /// The fork/join pool for a \p T-worker dispatch: the shared pool when
@@ -628,15 +626,6 @@ private:
     if (!C.OwnPool || C.OwnPool->maxWorkers() < T)
       C.OwnPool = std::make_unique<WorkerPool>(std::max(Opts.Threads, T));
     return C.OwnPool.get();
-  }
-
-  Buffer &bufferFor(const Symbol *S, Frame &F) {
-    if (F.Overrides) {
-      auto It = F.Overrides->find(S->id());
-      if (It != F.Overrides->end())
-        return It->second;
-    }
-    return Mem.buffer(S);
   }
 
   size_t linearIndex(const mf::ArrayRef *AR, Frame &F) {
@@ -666,19 +655,20 @@ private:
       const Symbol *S = cast<VarRef>(E)->symbol();
       if (!Monitors.empty())
         noteRead(S, 0);
-      Buffer &B = bufferFor(S, F);
+      Buffer &B = Mem.buffer(S);
       return B.Kind == ScalarKind::Int ? Value::ofInt(B.I[0])
                                        : Value::ofReal(B.D[0]);
     }
     case ExprKind::ArrayRef: {
       const auto *AR = cast<mf::ArrayRef>(E);
-      Buffer &B = bufferFor(AR->array(), F);
+      Buffer &B = Mem.buffer(AR->array());
       size_t Idx = linearIndex(AR, F);
       if (!Monitors.empty())
         noteRead(AR->array(), Idx);
       if (ProfCur && --F.ProfSkip == 0)
         F.ProfSkip = ProfCur->noteSampledAccess(AR->array(), Idx, B.size(),
-                                                /*IsWrite=*/false, F.Worker);
+                                                /*IsWrite=*/false,
+                                                /*Worker=*/0);
       return B.Kind == ScalarKind::Int ? Value::ofInt(B.I[Idx])
                                        : Value::ofReal(B.D[Idx]);
     }
@@ -763,9 +753,8 @@ private:
     if (const auto *VR = dyn_cast<VarRef>(Target)) {
       if (!Monitors.empty())
         noteWrite(VR->symbol(), 0);
-      Buffer &B = bufferFor(VR->symbol(), F);
-      if (!F.InParallel)
-        ++B.Version;
+      Buffer &B = Mem.buffer(VR->symbol());
+      ++B.Version;
       if (B.Kind == ScalarKind::Int)
         B.I[0] = V.asInt();
       else
@@ -773,31 +762,28 @@ private:
       return;
     }
     const auto *AR = cast<mf::ArrayRef>(Target);
-    Buffer &B = bufferFor(AR->array(), F);
+    Buffer &B = Mem.buffer(AR->array());
     size_t Idx = linearIndex(AR, F);
     if (!Monitors.empty())
       noteWrite(AR->array(), Idx);
     if (ProfCur && --F.ProfSkip == 0)
       F.ProfSkip = ProfCur->noteSampledAccess(AR->array(), Idx, B.size(),
-                                              /*IsWrite=*/true, F.Worker);
-    // Serial-context writes bump the buffer's version (inspector-cache
-    // key). Workers skip the bump — shared-buffer writes from inside a
-    // parallel loop would race on the counter; execDo bumps the loop's
-    // whole write set once after the join instead.
-    if (!F.InParallel)
-      ++B.Version;
+                                              /*IsWrite=*/true, /*Worker=*/0);
+    // Every tree-walk write bumps the buffer's version (inspector-cache
+    // key). VM chunks do not; execDo bumps a dispatched loop's whole write
+    // set once after the join instead.
+    ++B.Version;
     if (B.Kind == ScalarKind::Int)
       B.I[Idx] = V.asInt();
     else
       B.D[Idx] = V.asReal();
   }
 
-  void setScalar(const Symbol *S, int64_t V, Frame &F) {
+  void setScalar(const Symbol *S, int64_t V) {
     if (!Monitors.empty())
       noteWrite(S, 0);
-    Buffer &B = bufferFor(S, F);
-    if (!F.InParallel)
-      ++B.Version;
+    Buffer &B = Mem.buffer(S);
+    ++B.Version;
     if (B.Kind == ScalarKind::Int)
       B.I[0] = V;
     else
@@ -922,11 +908,11 @@ private:
     for (int64_t I = Lo; I <= Up; ++I) {
       M.CurIter = I;
       F.CurIter = I;
-      setScalar(DS->indexVar(), I, F);
+      setScalar(DS->indexVar(), I);
       execBody(DS->body(), F);
     }
     Monitors.pop_back();
-    setScalar(DS->indexVar(), Up + 1, F);
+    setScalar(DS->indexVar(), Up + 1);
 
     // Live-out privatized arrays: the writeback copies the final worker's
     // private buffer, so any element whose last write is not in the final
@@ -990,6 +976,23 @@ private:
     }
   }
 
+  /// Runs \p DS's iterations Lo, Lo+Step, ... through Up on the tree walk
+  /// and leaves the index variable one step past the last of them.
+  void execSerial(const DoStmt *DS, int64_t Lo, int64_t Up, int64_t Step,
+                  Frame &F) {
+    LoopCtxGuard Ctx(F);
+    F.CurLoop = DS;
+    int64_t I = Lo;
+    for (; Step > 0 ? I <= Up : I >= Up; I += Step) {
+      F.CurIter = I;
+      checkCancel(DS->loc(), F);
+      checkInjection(DS, I, F);
+      setScalar(DS->indexVar(), I);
+      execBody(DS->body(), F);
+    }
+    setScalar(DS->indexVar(), I);
+  }
+
   void execDo(const DoStmt *DS, Frame &F) {
     int64_t Lo = eval(DS->lower(), F).asInt();
     int64_t Up = eval(DS->upper(), F).asInt();
@@ -1001,37 +1004,40 @@ private:
     // A serial replay is accounting-invisible for nested loops: the outer
     // invocation already owns the wall time, the dispatch tier, and the
     // profiling record (attributed as a replay), so nested loops executed
-    // during the replay must not re-time, re-count, re-profile — or
-    // re-fork; the replay's contract is faithful serial re-execution.
-    bool Timed = !DS->label().empty() && Stats && !F.InParallel &&
-                 !F.InReplay;
+    // during the replay must not re-time, re-count, re-profile, re-inspect
+    // — or re-fork; the replay's contract is faithful serial re-execution.
+    bool Timed = !DS->label().empty() && Stats && !F.InReplay;
     Timer LoopTimer;
     double AdjustAtEntry = VirtualAdjust;
+    auto AddLoopSeconds = [&] {
+      if (Timed)
+        Stats->LoopSeconds[DS->label()] +=
+            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
+    };
 
     const xform::LoopPlan *Plan = nullptr;
-    if (!F.InParallel && !F.InReplay && Opts.Plans &&
-        (Opts.Threads > 1 || Opts.RaceCheck) && Step == 1)
+    if (!F.InReplay && Opts.Plans && Step == 1)
       Plan = Opts.Plans->planFor(DS);
     int64_t NIter = Step > 0 ? (Up - Lo) / Step + 1 : (Lo - Up) / (-Step) + 1;
     if (NIter < 0)
       NIter = 0;
 
-    // Profiling scope for labeled serial-context loops: opens a recorder
+    // Profiling scope for labeled loops outside a replay: opens a recorder
     // in the session, finalized (even on unwinding) at scope exit.
-    ProfScope PS(*this, F, DS, F.InParallel || F.InReplay, Lo, Up, NIter);
+    ProfScope PS(*this, F, DS, Lo, Up, NIter);
     prof::LoopRecorder *Rec = PS.Rec;
 
     // Inspector/executor: a statically-serial loop carrying a
     // runtime-conditional plan is inspected before its first execution and
-    // dispatched parallel only when every check passes against the actual
+    // dispatched only when every check passes against the actual
     // index-array contents; a failed (or structurally impossible)
     // inspection falls through to the serial path below, which is always
     // sound. Race checking deliberately skips conditional plans — they are
     // not parallel-marked, so there is no certification to validate.
     bool CondInspected = false;
     std::string CondDetail;
-    if (!Plan && !F.InParallel && Opts.RuntimeChecks && !Opts.RaceCheck &&
-        Opts.Plans && Opts.Threads > 1 && Step == 1 && NIter >= 2) {
+    if (!Plan && !F.InReplay && Opts.RuntimeChecks && !Opts.RaceCheck &&
+        Opts.Plans && Step == 1 && NIter >= 2) {
       if (const xform::LoopPlan *Cond = Opts.Plans->conditionalPlanFor(DS))
         if (satMul(NIter, bodyWeight(DS)) >= Opts.MinParallelWork) {
           Timer InspectTimer;
@@ -1048,35 +1054,37 @@ private:
     // serially under shadow tags, bypassing the profitability guard so
     // every certified plan is checked regardless of size.
     if (Plan && Opts.RaceCheck && NIter >= 2) {
-      ++dispatch_static;
-      if (Stats)
-        ++Stats->DispatchStatic;
+      countTier(dispatch_static, &ExecStats::DispatchStatic);
       if (Rec)
         Rec->Detail = "race-check: plan-marked loop forced serial";
       execDoShadow(DS, Plan, Lo, Up, F);
-      if (Timed)
-        Stats->LoopSeconds[DS->label()] +=
-            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
+      AddLoopSeconds();
       return;
     }
 
-    if (!Plan || NIter < 2 ||
-        satMul(NIter, bodyWeight(DS)) < Opts.MinParallelWork) {
-      if (!F.InParallel && !F.InReplay) {
-        if (CondInspected) {
-          ++dispatch_conditional;
-          if (Stats)
-            ++Stats->DispatchConditional;
-        } else {
-          ++dispatch_serial;
-          if (Stats)
-            ++Stats->DispatchSerial;
-        }
+    // A plan-marked loop worth forking dispatches on the VM at any thread
+    // count. The compiler is consulted only here, so a bailout runs the
+    // loop serially, in the tier it would have had, with the compiler's
+    // reason as its dispatch detail.
+    const vm::CompileResult *Compiled = nullptr;
+    if (Plan && NIter >= 2 &&
+        satMul(NIter, bodyWeight(DS)) >= Opts.MinParallelWork)
+      Compiled = &vmProgramFor(DS, Plan);
+    if (!Compiled || !Compiled->Ok) {
+      if (!F.InReplay) {
+        if (CondInspected)
+          countTier(dispatch_conditional, &ExecStats::DispatchConditional);
+        else
+          countTier(dispatch_serial, &ExecStats::DispatchSerial);
       }
       if (Rec) {
-        if (CondInspected) {
-          // A passed inspection with a sufficient trip count dispatches in
-          // parallel, so reaching here means the inspection failed.
+        if (Compiled) {
+          Rec->Kind = CondInspected ? prof::DispatchKind::CondSerial
+                                    : prof::DispatchKind::Serial;
+          Rec->Detail = "vm bailout: " + Compiled->Bailout;
+        } else if (CondInspected) {
+          // A passed inspection with a sufficient trip count dispatches,
+          // so reaching here without a compile result means it failed.
           Rec->Kind = prof::DispatchKind::CondSerial;
           Rec->Detail = CondDetail;
         } else if (Plan) {
@@ -1084,69 +1092,38 @@ private:
           Rec->Detail = "below the parallel profitability threshold";
         }
       }
-      LoopCtxGuard Ctx(F);
-      F.CurLoop = DS;
-      for (int64_t I = Lo; Step > 0 ? I <= Up : I >= Up; I += Step) {
-        F.CurIter = I;
-        checkCancel(DS->loc(), F);
-        checkInjection(DS, I, F);
-        setScalar(DS->indexVar(), I, F);
-        execBody(DS->body(), F);
-      }
-      setScalar(DS->indexVar(),
-                NIter > 0 ? Lo + NIter * Step : Lo, F);
-      if (Timed)
-        Stats->LoopSeconds[DS->label()] +=
-            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
+      execSerial(DS, Lo, Up, Step, F);
+      AddLoopSeconds();
       return;
     }
+    const vm::LoopProgram &VmProg = Compiled->Prog;
 
-    // --- Parallel execution.
+    // --- Dispatch.
     // Tier accounting is deferred until the invocation's outcome is known:
     // a dispatch that faults and is serially replayed belongs to the
-    // replay tier, not its original parallel tier — one tier per
-    // invocation (Statistic has no decrement, so count late rather than
-    // retract).
-    bool DispatchCounted = false;
+    // replay tier, not its original tier — one tier per invocation
+    // (Statistic has no decrement, so count late rather than retract).
+    // Every exit below calls this exactly once.
     auto CountDispatch = [&](bool Replayed) {
-      if (DispatchCounted)
-        return;
-      DispatchCounted = true;
-      if (Replayed) {
-        ++dispatch_replay;
-        if (Stats)
-          ++Stats->DispatchReplay;
-      } else if (CondInspected) {
-        ++dispatch_conditional;
-        if (Stats)
-          ++Stats->DispatchConditional;
-      } else {
-        ++dispatch_static;
-        if (Stats)
-          ++Stats->DispatchStatic;
-      }
+      if (Replayed)
+        countTier(dispatch_replay, &ExecStats::DispatchReplay);
+      else if (CondInspected)
+        countTier(dispatch_conditional, &ExecStats::DispatchConditional);
+      else
+        countTier(dispatch_static, &ExecStats::DispatchStatic);
     };
-    if (Stats)
-      ++Stats->ParallelLoopRuns;
     ++interp_parallel_loop_runs;
-    unsigned T = Opts.Threads;
-    if (static_cast<int64_t>(T) > NIter)
-      T = static_cast<unsigned>(NIter);
-
-    // Engine selection: under --engine=vm a compiled program runs the
-    // chunks as register bytecode; a bailout (or interp engine) keeps the
-    // tree walk. Everything around the chunk body is engine-agnostic.
-    const vm::LoopProgram *VmProg = vmProgramFor(DS, Plan);
-    if (VmProg) {
-      ++vm_parallel_loop_runs;
-      if (Stats)
-        ++Stats->VmParallelLoopRuns;
+    if (Stats) {
+      ++Stats->ParallelLoopRuns;
+      ++Stats->VmParallelLoopRuns;
     }
+    auto T = static_cast<unsigned>(
+        std::min<int64_t>(std::max(1u, Opts.Threads), NIter));
 
     if (Rec) {
       Rec->Kind = CondInspected ? prof::DispatchKind::CondParallel
                                 : prof::DispatchKind::Parallel;
-      Rec->Engine = VmProg ? "vm" : "interp";
+      Rec->Engine = "vm";
       Rec->Threads = T;
       Rec->Schedule = scheduleName(Opts.Sched);
     }
@@ -1212,10 +1189,11 @@ private:
 
     ChunkDispenser Disp(Lo, Up, T, Opts.Sched, Opts.ChunkSize);
 
-    // Runs one dispensed chunk on worker W; returns its seconds (including
-    // the first chunk's private-copy construction — it parallelizes too).
-    // Each worker touches only its own WorkerState slot, so the threaded
-    // path needs no synchronization beyond the dispenser and the join.
+    // Runs one dispensed chunk on worker W as bytecode; returns its seconds
+    // (including the first chunk's private-copy construction — it
+    // parallelizes too). Each worker touches only its own WorkerState slot,
+    // so the threaded path needs no synchronization beyond the dispenser
+    // and the join.
     auto RunChunk = [&](unsigned W, int64_t First, int64_t Last,
                         unsigned ChunkId) {
       trace::TraceScope ChunkSpan("chunk", "interp");
@@ -1226,34 +1204,17 @@ private:
         BuildPrivates(W);
         WS.Ran = true;
       }
-      if (VmProg) {
-        vm::ChunkContext VC;
-        VC.Mem = &Mem;
-        VC.Overrides = &WS.Overrides;
-        VC.First = First;
-        VC.Last = Last;
-        VC.Worker = W;
-        VC.Injector = Opts.Injector;
-        VC.Cancel = Cancel;
-        VC.Rec = ProfCur;
-        VC.ProfSkip = &WS.ProfSkip;
-        vm::runChunk(*VmProg, VC);
-      } else {
-        Frame FW;
-        FW.Overrides = &WS.Overrides;
-        FW.InParallel = true;
-        FW.CurLoop = DS;
-        FW.Worker = W;
-        FW.ProfSkip = WS.ProfSkip;
-        for (int64_t I = First; I <= Last; ++I) {
-          FW.CurIter = I;
-          checkCancel(DS->loc(), FW);
-          checkInjection(DS, I, FW);
-          setScalar(DS->indexVar(), I, FW);
-          execBody(DS->body(), FW);
-        }
-        WS.ProfSkip = FW.ProfSkip;
-      }
+      vm::ChunkContext VC;
+      VC.Mem = &Mem;
+      VC.Overrides = &WS.Overrides;
+      VC.First = First;
+      VC.Last = Last;
+      VC.Worker = W;
+      VC.Injector = Opts.Injector;
+      VC.Cancel = Cancel;
+      VC.Rec = ProfCur;
+      VC.ProfSkip = &WS.ProfSkip;
+      vm::runChunk(VmProg, VC);
       double Secs = CT.seconds();
       if (Rec)
         Rec->noteChunk(W, ChunkId, First, Last, ProfStartUs, Secs * 1e6);
@@ -1306,7 +1267,9 @@ private:
         SumChunks += Clock[W];
         MaxClock = std::max(MaxClock, Clock[W]);
       }
-      double Overhead = Opts.ForkAlpha + Opts.ForkBeta * T;
+      // One worker runs inline and forks nothing, as WorkerPool::run(1)
+      // does on the threaded path, so it pays no fork/join overhead.
+      double Overhead = T > 1 ? Opts.ForkAlpha + Opts.ForkBeta * T : 0.0;
       VirtualAdjust += SumChunks - (MaxClock + Overhead);
     } else {
       poolFor(T)->run(T, [&](unsigned W) {
@@ -1339,13 +1302,9 @@ private:
 
     unsigned ChunksRun = Disp.chunksDispensed();
     interp_chunks_run += ChunksRun;
-    if (VmProg) {
-      vm_chunks_run += ChunksRun;
-      if (Stats)
-        Stats->VmChunksRun += ChunksRun;
-    }
     if (Stats) {
       Stats->ChunksRun += ChunksRun;
+      Stats->VmChunksRun += ChunksRun;
       for (const WorkerState &WS : Workers) {
         if (!WS.Ran)
           continue;
@@ -1401,33 +1360,26 @@ private:
         throw FaultException(std::move(First));
       }
 
-      // Replay: serial re-execution of the rolled-back loop. It either
-      // reproduces the fault with exact serial attribution, or completes
-      // correctly — proving the fault an artifact of parallel execution
+      // Replay: serial tree-walk re-execution of the rolled-back loop. It
+      // either reproduces the fault with exact serial attribution, or
+      // completes correctly — proving the fault an artifact of the dispatch
       // (e.g. damage done by a mis-certified plan, or an injected
       // parallel-only fault).
       ++FS.Replays;
       ++interp_fault_replays;
       if (Stats)
         ++Stats->FaultReplays;
-      // One invocation, one tier: the faulted parallel attempt is subsumed
-      // by the replay — counting it in its original tier too would inflate
-      // the health-report dispatch totals past the invocation count.
+      // One invocation, one tier: the faulted dispatch is subsumed by the
+      // replay — counting it in its original tier too would inflate the
+      // health-report dispatch totals past the invocation count.
       CountDispatch(/*Replayed=*/true);
       if (Rec)
         Rec->Kind = prof::DispatchKind::Replay;
       Frame FR = F;
       FR.InReplay = true;
-      FR.CurLoop = DS;
       Timer ReplayTimer;
       try {
-        for (int64_t I = Lo; I <= Up; ++I) {
-          FR.CurIter = I;
-          checkCancel(DS->loc(), FR);
-          checkInjection(DS, I, FR);
-          setScalar(DS->indexVar(), I, FR);
-          execBody(DS->body(), FR);
-        }
+        execSerial(DS, Lo, Up, Step, FR);
       } catch (FaultException &FE) {
         if (Rec) {
           Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
@@ -1436,7 +1388,6 @@ private:
         addFaultRemark(DS, First, "replay reproduced the fault", &FE.Fault);
         throw;
       }
-      setScalar(DS->indexVar(), Up + 1, FR);
       if (Rec) {
         Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
         Rec->Detail = "worker fault: replay recovered";
@@ -1444,9 +1395,7 @@ private:
       ++FS.ReplaysRecovered;
       ++interp_fault_replays_recovered;
       addFaultRemark(DS, First, "replay recovered", nullptr);
-      if (Timed)
-        Stats->LoopSeconds[DS->label()] +=
-            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
+      AddLoopSeconds();
       return;
     }
 
@@ -1481,17 +1430,15 @@ private:
       Mem.buffer(S) = LastW->Overrides.at(S->id());
     for (const Symbol *S : Plan->PrivateArrays)
       Mem.buffer(S) = LastW->Overrides.at(S->id());
-    setScalar(DS->indexVar(), Up + 1, F);
+    setScalar(DS->indexVar(), Up + 1);
 
-    // Workers skipped the per-write version bumps (they would race); bump
+    // VM chunks skip the per-write version bumps (they would race); bump
     // everything the loop writes once, after the join and the writebacks,
     // so inspector-cache entries keyed on these arrays are invalidated.
     if (Opts.RuntimeChecks)
       bumpWriteSetVersions(DS);
 
-    if (Timed)
-      Stats->LoopSeconds[DS->label()] +=
-          LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
+    AddLoopSeconds();
   }
 
   /// Static work estimate of one statement: assignments count 1, nested
@@ -1701,11 +1648,13 @@ void Interpreter::setBytecodeCache(std::shared_ptr<vm::BytecodeCache> Cache) {
 
 Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   if (Opts.Engine == ExecEngine::Both) {
-    // Differential oracle: run the whole program on the reference tree walk
-    // first (unprofiled — observation belongs to the engine under test),
-    // then on the VM engine with the caller's stats, and demand agreement.
+    // Differential oracle: run the whole program as the plan-free serial
+    // tree walk first (unprofiled — observation belongs to the run under
+    // test), then on the VM with the caller's plans and stats, and demand
+    // agreement.
     ExecOptions RefOpts = Opts;
-    RefOpts.Engine = ExecEngine::Interp;
+    RefOpts.Plans = nullptr;
+    RefOpts.Engine = ExecEngine::Vm;
     RefOpts.Prof = nullptr;
     ExecStats RefStats;
     Memory RefMem = run(RefOpts, &RefStats);
@@ -1723,10 +1672,10 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
       // differs across engines (chunk interleavings); the contract there
       // is agreement on the fault *kind* only.
       if (RefFault.Faulted != LastFault.Faulted)
-        Why = std::string("terminal fault on ") +
-              (RefFault.Faulted ? "interp" : "vm") + " engine only";
+        Why = std::string("terminal fault on the ") +
+              (RefFault.Faulted ? "serial tree walk" : "vm run") + " only";
       else if (RefFault.Fault.Kind != LastFault.Fault.Kind)
-        Why = std::string("fault kind interp=") +
+        Why = std::string("fault kind serial=") +
               faultKindName(RefFault.Fault.Kind) +
               " vm=" + faultKindName(LastFault.Fault.Kind);
     } else {
@@ -1735,7 +1684,7 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
       double A = RefMem.checksumExcluding(Dead);
       double B = VmMem.checksumExcluding(Dead);
       if (std::memcmp(&A, &B, sizeof(double)) != 0)
-        Why = "final-memory checksum interp=" + std::to_string(A) +
+        Why = "final-memory checksum serial=" + std::to_string(A) +
               " vm=" + std::to_string(B);
     }
     if (!Why.empty()) {

@@ -11,11 +11,13 @@
 /// speedup experiments (Fig. 16): a loop the pipeline marked parallel is
 /// executed fork/join on a persistent WorkerPool, with iteration chunks
 /// handed out by a ChunkDispenser under a static, dynamic, or guided
-/// schedule; arrays and scalars the plan privatized get per-worker copies
-/// built on the worker's first chunk; recognized sum reductions use
-/// per-worker partials merged after the join; the worker that executed the
-/// loop's *final iteration* writes its private copies back (Fortran's
-/// last-value semantics — never an idle worker's untouched copy-in).
+/// schedule and run as register bytecode (vm/Vm.h) at every thread count;
+/// the tree walk itself only ever runs serially. Arrays and scalars the
+/// plan privatized get per-worker copies built on the worker's first chunk;
+/// recognized sum reductions use per-worker partials merged after the join;
+/// the worker that executed the loop's *final iteration* writes its private
+/// copies back (Fortran's last-value semantics — never an idle worker's
+/// untouched copy-in).
 ///
 /// Correctness is checked in the tests by comparing checksums of parallel
 /// and serial runs of every benchmark.
@@ -56,10 +58,10 @@ struct Buffer {
   mf::ScalarKind Kind = mf::ScalarKind::Int;
   std::vector<int64_t> I;
   std::vector<double> D;
-  /// Bumped on every serial-context write and once per parallel loop that
-  /// writes the symbol. Keys the inspector's verdict cache: a runtime-check
-  /// verdict stays valid while the versions of every inspected index array
-  /// are unchanged.
+  /// Bumped on every tree-walk write and once per dispatched loop that
+  /// writes the symbol (VM chunks do not bump it). Keys the inspector's
+  /// verdict cache: a runtime-check verdict stays valid while the versions
+  /// of every inspected index array are unchanged.
   uint64_t Version = 0;
 
   size_t size() const {
@@ -110,22 +112,23 @@ private:
 /// (privatized arrays of parallel loops).
 std::set<unsigned> deadPrivateIds(const xform::PipelineResult &Plans);
 
-/// Which engine executes the bodies of parallel-dispatched loops. Serial
-/// code, serial fallbacks, race-checked loops, and fault replays always run
-/// on the tree-walking interpreter — it is the semantic reference.
+/// How a run executes. Every dispatched plan-marked loop runs its chunks as
+/// compiled register bytecode (vm/Vm.h) at every thread count, T=1
+/// included. The tree-walking interpreter is the serial reference: it runs
+/// serial code, serial fallbacks (a loop the bytecode compiler bails on
+/// runs serially), race-checked loops, and fault replays, and it never runs
+/// inside a worker.
 enum class ExecEngine {
-  Interp, ///< Tree-walk everything (the reference engine).
-  Vm,     ///< Parallel chunks run compiled register bytecode (vm/Vm.h);
-          ///< loops the bytecode compiler bails on fall back to the
-          ///< tree walk per loop.
-  Both,   ///< Differential oracle: run the whole program twice — once per
-          ///< engine — and compare final-memory checksums (or fault kinds
-          ///< when a run faults terminally). A divergence is reported as
-          ///< an Internal fault. Returns the VM run's memory.
+  Vm,   ///< Dispatched loops run on the VM (the default).
+  Both, ///< Differential oracle: run the program on the VM and once more
+        ///< as the plan-free serial tree walk, then compare final-memory
+        ///< checksums (or fault kinds when a run faults terminally). A
+        ///< divergence is reported as an Internal fault. Returns the VM
+        ///< run's memory.
 };
 
 const char *engineName(ExecEngine E);
-/// Parses "interp" / "vm" / "both"; returns false on anything else.
+/// Parses "vm" / "both"; returns false on anything else.
 bool parseEngine(const std::string &Name, ExecEngine &Out);
 
 /// Execution options.
@@ -136,7 +139,8 @@ struct ExecOptions {
   unsigned Threads = 1;
   /// Simulated multiprocessor mode: chunks run sequentially, each timed,
   /// and a parallel loop costs max(chunk times) plus a fork/join overhead
-  /// of ForkAlpha + ForkBeta * Threads seconds. Semantically identical to
+  /// of ForkAlpha + ForkBeta * Threads seconds (none when one worker runs,
+  /// which forks nothing). Semantically identical to
   /// the threaded mode; used to reproduce the Fig. 16 speedup curves on
   /// hosts without enough cores (speedup *shape* — Amdahl fractions, load
   /// imbalance, per-invocation overhead — is preserved).
@@ -168,7 +172,7 @@ struct ExecOptions {
   /// runs parallel when every check passes and serial otherwise. Verdicts
   /// are cached keyed on the inspected arrays' version counters, so
   /// repeated invocations skip re-inspection until an index array is
-  /// rewritten. Only meaningful together with Plans and Threads > 1.
+  /// rewritten. Only meaningful together with Plans.
   bool RuntimeChecks = false;
   /// Fault-containment policy for parallel loops. Under Report and Replay,
   /// every parallel (or runtime-conditional) dispatch snapshots the loop's
@@ -194,11 +198,11 @@ struct ExecOptions {
   /// session. Observation only: program results are bit-identical with
   /// profiling on or off.
   prof::Session *Prof = nullptr;
-  /// Engine for parallel-dispatched loop bodies (see ExecEngine). Interp
-  /// is the reference tree walk; Vm lowers eligible certified loops to
-  /// register bytecode (bailing back to the tree walk per loop); Both runs
-  /// the program on each engine and checks bit-identical results.
-  ExecEngine Engine = ExecEngine::Interp;
+  /// Engine selection (see ExecEngine). Vm lowers each dispatched loop to
+  /// register bytecode (a loop the compiler bails on runs serially); Both
+  /// also runs the plan-free serial tree walk and checks bit-identical
+  /// results.
+  ExecEngine Engine = ExecEngine::Vm;
   /// Cooperative cancellation (request deadlines). When set, both engines
   /// poll the token at every loop iteration and while back-edge; a fired
   /// token raises a DeadlineExceeded fault through the normal containment
@@ -255,7 +259,8 @@ struct ExecStats {
   double TotalSeconds = 0;
   /// Actual wall-clock seconds of the run.
   double WallSeconds = 0;
-  /// Number of loop invocations executed in parallel.
+  /// Number of loop invocations dispatched through the chunk dispenser, at
+  /// any thread count (a T=1 dispatch is one VM chunk).
   unsigned ParallelLoopRuns = 0;
   /// Number of iteration chunks executed by parallel loops. Fed by the
   /// chunk dispenser, which never hands out empty chunks, so this counts
@@ -314,16 +319,17 @@ struct ExecStats {
   /// reproduced it.
   std::vector<Remark> FaultRemarks;
 
-  /// Bytecode VM engine (ExecOptions::Engine == Vm or Both).
+  /// Bytecode VM engine.
   unsigned VmLoopsCompiled = 0; ///< Distinct loops lowered to bytecode.
   unsigned VmBailouts = 0; ///< Distinct loops the VM compiler rejected
-                           ///< (they stay on the tree walk).
-  unsigned VmParallelLoopRuns = 0; ///< Parallel invocations executed on
-                                   ///< the VM (subset of ParallelLoopRuns).
+                           ///< (their invocations run serially).
+  unsigned VmParallelLoopRuns = 0; ///< Dispatched invocations executed on
+                                   ///< the VM (equals ParallelLoopRuns).
   unsigned VmChunksRun = 0; ///< Chunks executed as bytecode.
-  /// Differential oracle (Engine == Both): whole-program interp-vs-VM
-  /// comparisons made and how many diverged (a divergence also surfaces as
-  /// an Internal fault in Interpreter::faultState).
+  /// Differential oracle (Engine == Both): whole-program comparisons of
+  /// the VM run against the plan-free serial tree walk, and how many
+  /// diverged (a divergence also surfaces as an Internal fault in
+  /// Interpreter::faultState).
   unsigned BothComparisons = 0;
   unsigned BothMismatches = 0;
 };

@@ -492,7 +492,7 @@ std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
     else if (Agg.SawCondPass)
       H.Why = "runtime inspection passed";
     else if (Agg.SawCondFail)
-      H.Why = "runtime inspection failed" +
+      H.Why = "conditional loop ran serially" +
               (Agg.Detail.empty() ? "" : ": " + Agg.Detail);
     else if (Agg.SawSerialSmall)
       H.Why = "below the parallel profitability threshold";

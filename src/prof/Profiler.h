@@ -119,7 +119,9 @@ enum class DispatchKind {
   SerialSmall,  ///< A plan exists but the profitability guard kept it serial.
   Parallel,     ///< Statically-certified parallel dispatch.
   CondParallel, ///< Runtime-conditional plan; inspection passed.
-  CondSerial,   ///< Runtime-conditional plan; inspection failed.
+  CondSerial,   ///< Runtime-conditional plan run serially: its inspection
+                ///< failed, or it passed and the VM compiler bailed
+                ///< (Detail says which).
   Replay,       ///< Dispatched parallel, trapped a worker fault, rolled
                 ///< back, and re-executed serially. One invocation, one
                 ///< tier: the original parallel tier is not also counted.
@@ -171,7 +173,8 @@ struct LoopProfile {
   std::string Label;
   unsigned Invocation = 0; ///< 0-based per-label invocation number.
   DispatchKind Kind = DispatchKind::Serial;
-  std::string Detail; ///< Failing check, fault note, ... (may be empty).
+  std::string Detail; ///< Failing check, VM bailout, fault note, ...
+                      ///< (may be empty).
   std::string Engine = "interp"; ///< "interp" or "vm" (see LoopRecorder).
   int64_t Lo = 0, Up = 0, NIter = 0;
   unsigned Threads = 1;
@@ -316,9 +319,10 @@ public:
   /// Dispatch context, filled in by the interpreter as decisions fall.
   DispatchKind Kind = DispatchKind::Serial;
   std::string Detail;
-  /// Execution engine of the loop body ("interp" tree walk or "vm"
-  /// register bytecode). VM loops have no AST frames, so this is how
-  /// profiles stay attributable to an engine.
+  /// Execution engine of the loop body: "vm" register bytecode for a
+  /// dispatched invocation, "interp" for one the tree walk ran serially.
+  /// VM loops have no AST frames, so this is how profiles stay
+  /// attributable to an engine.
   std::string Engine = "interp";
   unsigned Threads = 1;
   std::string Schedule;

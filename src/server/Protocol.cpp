@@ -180,7 +180,7 @@ std::optional<Request> server::parseRequest(const std::string &Line,
   }
   if (const json::Value *V = Doc->member("engine")) {
     if (!V->isString() || !interp::parseEngine(V->S, R.Engine)) {
-      Err = "'engine' must be interp, vm, or both";
+      Err = "'engine' must be vm or both";
       return std::nullopt;
     }
   }

@@ -15,7 +15,7 @@
 ///                 "source"?: string,            // run/compile
 ///                 "mode"?: "full"|"noiaa"|"apo",
 ///                 "threads"?: int, "schedule"?: string, "chunk"?: int,
-///                 "engine"?: "interp"|"vm"|"both",
+///                 "engine"?: "vm"|"both",
 ///                 "audit"?: "off"|"warn"|"strict",
 ///                 "runtime_checks"?: bool, "on_fault"?: "report"|"replay",
 ///                 "simulate"?: bool, "profile"?: bool, "counters"?: bool,
@@ -67,7 +67,7 @@ struct Request {
   unsigned Threads = 4;
   interp::Schedule Sched = interp::Schedule::Static;
   int64_t ChunkSize = 0;
-  interp::ExecEngine Engine = interp::ExecEngine::Interp;
+  interp::ExecEngine Engine = interp::ExecEngine::Vm;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RuntimeChecks = false;
   /// Abort is refused at parse time: a tenant must never be able to ask

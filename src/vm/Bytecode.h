@@ -12,12 +12,12 @@
 /// over typed register files (int64 and double), and the VM (vm/Vm.h)
 /// executes the stream once per iteration of a dispensed chunk. Everything
 /// around the body — scheduling, privatization, reductions, fault rollback
-/// — stays in the interpreter's parallel dispatch; the bytecode only
-/// replaces the per-iteration tree walk.
+/// — stays in the interpreter's dispatch; the bytecode runs every
+/// dispatched chunk, at every thread count.
 ///
 /// Memory is addressed through *slots*: one per referenced symbol, resolved
 /// once per chunk to a raw buffer pointer (the worker's private override or
-/// the shared global), which removes the per-access hash lookup and Value
+/// the shared global), which removes the per-access buffer lookup and Value
 /// boxing that dominate the tree walker's cost. The irregular access
 /// patterns the paper analyzes get fused superinstructions: Gth/Sct/SctAdd
 /// execute a whole a(ind(e)+c) gather, scatter, or scatter-accumulate —

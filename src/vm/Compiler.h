@@ -13,8 +13,8 @@
 /// stretch, and integer e +- c takes c as an immediate. The compiler is
 /// deliberately conservative: anything it cannot lower with bit-identical
 /// semantics — unresolved or recursive calls, mod on real operands,
-/// non-integer index variables — is a *bailout*, and the loop keeps
-/// running on the tree-walking interpreter. Bailing out is always correct;
+/// non-integer index variables — is a *bailout*, and the loop runs
+/// serially on the tree-walking interpreter. Bailing out is always correct;
 /// compiling is only a speed change, never a semantic one (the differential
 /// oracle in --engine=both enforces exactly that).
 ///

@@ -6,14 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a LoopProgram over one dispensed iteration chunk. The VM is a
-/// drop-in replacement for the interpreter's per-iteration tree walk inside
-/// RunChunk: the surrounding machinery — WorkerPool, ChunkDispenser,
-/// privatization overrides, fault containment — is untouched. Slot
-/// pointers are resolved once per chunk (override else shared buffer),
-/// which is where the speedup comes from; faults raise the same structured
-/// FaultException the tree walk would, so the trap / rollback /
-/// serial-replay pipeline works on VM chunks unchanged.
+/// Executes a LoopProgram over one dispensed iteration chunk. It is the
+/// only thing the interpreter's workers run (RunChunk calls it at every
+/// thread count); the surrounding machinery — WorkerPool, ChunkDispenser,
+/// privatization overrides, fault containment — stays in the interpreter.
+/// Slot pointers are resolved once per chunk (override else shared
+/// buffer), which is where the speedup over the tree walk comes from;
+/// faults raise the same structured FaultException the serial tree walk
+/// would, so the trap / rollback / serial-replay pipeline works on VM
+/// chunks unchanged.
 ///
 //===----------------------------------------------------------------------===//
 

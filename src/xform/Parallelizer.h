@@ -83,11 +83,10 @@ struct LoopPlan {
   /// restores every buffer the body could have touched.
   std::set<const mf::Symbol *> WriteEffects;
   /// True when the loop body passed the bytecode compiler's structural
-  /// pre-check (vm/Compiler.h): under --engine=vm its parallel chunks run
-  /// on the register VM instead of the tree walk. Advisory — the VM
-  /// compiler can still bail at execution time, and VmBailout records why
-  /// a structurally-ineligible body must stay on the interpreter. Only set
-  /// for plans that can dispatch parallel.
+  /// pre-check (vm/Compiler.h), so its dispatched chunks can run on the
+  /// register VM. Advisory — the VM compiler can still bail at execution
+  /// time, and VmBailout records why a structurally-ineligible body runs
+  /// serially instead. Only set for plans that can dispatch parallel.
   bool VmEligible = false;
   std::string VmBailout;
 };

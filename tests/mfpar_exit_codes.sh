@@ -67,6 +67,7 @@ check 2 "unknown flag" "$MFPAR" --no-such-flag
 check 2 "bad --on-fault value" "$MFPAR" --on-fault=bogus
 check 2 "bad --schedule value" "$MFPAR" "$TMP/good.mf" --schedule=gided
 check 2 "removed --locality flag" "$MFPAR" "$TMP/good.mf" --locality=off
+check 2 "removed --engine=interp" "$MFPAR" "$TMP/good.mf" --engine=interp
 check 2 "empty --profile= value" "$MFPAR" "$TMP/good.mf" --profile=
 check 0 "profiled run writes JSONL" \
   "$MFPAR" "$TMP/good.mf" --profile="$TMP/profile.jsonl" --run=2

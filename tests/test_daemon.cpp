@@ -205,6 +205,7 @@ TEST(DaemonProtocol, MalformedFramesAreStructuredErrors) {
       "{\"op\": \"run\", \"source\": \"x\", \"mode\": \"bogus\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"schedule\": \"gided\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"engine\": \"jit\"}",
+      "{\"op\": \"run\", \"source\": \"x\", \"engine\": \"interp\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"locality\": \"maybe\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"audit\": \"sometimes\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"deadline_ms\": -1}",

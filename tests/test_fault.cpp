@@ -288,6 +288,55 @@ TEST(FaultReplayTest, RecoversParallelOnlyFault) {
             std::string::npos);
 }
 
+TEST(FaultReplayTest, ReplayNeverForksNestedConditionalLoops) {
+  // Regression: the inspection gate tested for a worker frame but not for
+  // a replay, so while a rolled-back outer loop was replayed serially its
+  // nested runtime-conditional scatter was inspected, dispatched, and
+  // counted in a tier on every outer iteration. A replay is faithful
+  // serial re-execution: nested loops neither inspect nor fork.
+  Harness H(R"(program t
+    integer i, j, n
+    integer ind(1000)
+    real x(8, 1000), y(1000)
+    n = 1000
+    init: do i = 1, n
+      ind(i) = mod(i * 7, n) + 1
+      y(i) = mod(i, 9) * 0.25
+    end do
+    outer: do j = 1, 8
+      scat: do i = 1, n
+        x(j, ind(i)) = x(j, ind(i)) + y(i) * 0.5
+      end do
+    end do
+  end)");
+  ASSERT_NE(H.Plan.planFor(H.P->findLoop("outer")), nullptr);
+  ASSERT_NE(H.Plan.conditionalPlanFor(H.P->findLoop("scat")), nullptr);
+  double Want = H.serialChecksum();
+
+  verify::FaultInjector Inj;
+  Inj.faultAt("outer", 3, /*ParallelOnly=*/true);
+  Interpreter I(*H.P);
+  ExecOptions Opts;
+  Opts.Plans = &H.Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.RuntimeChecks = true;
+  Opts.Injector = &Inj;
+  ExecStats Stats;
+  Memory M = I.run(Opts, &Stats);
+  const FaultState &FS = I.faultState();
+  ASSERT_FALSE(FS.Faulted) << FS.str();
+  EXPECT_EQ(FS.ReplaysRecovered, 1u);
+  EXPECT_EQ(Stats.ParallelLoopRuns, 2u) << "init and the faulted outer";
+  EXPECT_EQ(Stats.DispatchStatic, 1u) << "init";
+  EXPECT_EQ(Stats.DispatchReplay, 1u) << "outer";
+  EXPECT_EQ(Stats.DispatchConditional, 0u);
+  EXPECT_EQ(Stats.DispatchSerial, 0u);
+  EXPECT_EQ(Stats.InspectionsRun, 0u) << "the replay inspected scat";
+  EXPECT_EQ(Stats.InspectionsCached, 0u) << "the replay inspected scat";
+  EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want);
+}
+
 TEST(FaultReplayTest, StaleVerdictPoisonedIndexReproducedSerially) {
   // A lying inspector vouches for the poisoned scatter (the bounds
   // inspection would have rejected it), so the loop dispatches parallel
@@ -436,15 +485,10 @@ TEST(FaultSweep, ContainedUnderEveryScheduleAndThreadCount) {
                           scheduleName(S) + "/T=" + std::to_string(T);
         EXPECT_FALSE(FS.Faulted) << Ctx << ": " << FS.str();
         EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want) << Ctx;
-        if (T > 1) {
-          // A parallel dispatch happened, trapped the injection, rolled
-          // back, and recovered by serial replay.
-          EXPECT_EQ(FS.Rollbacks, 1u) << Ctx;
-          EXPECT_EQ(FS.ReplaysRecovered, 1u) << Ctx;
-        } else {
-          // T=1 executes serially; a parallel-only injection never fires.
-          EXPECT_EQ(FS.FaultsObserved, 0u) << Ctx;
-        }
+        // A dispatch happened (one VM chunk at T=1), trapped the
+        // injection, rolled back, and recovered by serial replay.
+        EXPECT_EQ(FS.Rollbacks, 1u) << Ctx;
+        EXPECT_EQ(FS.ReplaysRecovered, 1u) << Ctx;
       }
 }
 

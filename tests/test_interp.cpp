@@ -242,18 +242,27 @@ TEST(ParallelExec, FigureExamplesMatchSerial) {
   }
 }
 
-TEST(ParallelExec, SingleThreadTakesSerialPath) {
+TEST(ParallelExec, SingleThreadDispatchesOneVmChunk) {
+  // A plan-marked loop dispatches the same way at every thread count: at
+  // T=1 each dispatch is one VM chunk through the same transaction and
+  // commit, so the 1-processor baseline runs the parallel run's engine.
   auto P = parseOrDie(benchprogs::fig14Source());
   xform::PipelineResult Plan =
       xform::parallelize(*P, xform::PipelineMode::Full);
   Interpreter I(*P);
+  Memory Serial = I.run(ExecOptions{});
   ExecOptions One;
   One.Plans = &Plan;
   One.Threads = 1;
+  One.MinParallelWork = 0;
   ExecStats Stats;
   Memory M = I.run(One, &Stats);
-  EXPECT_EQ(Stats.ParallelLoopRuns, 0u);
-  (void)M;
+  ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+  EXPECT_GT(Stats.ParallelLoopRuns, 0u);
+  EXPECT_EQ(Stats.ChunksRun, Stats.ParallelLoopRuns);
+  EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns);
+  std::set<unsigned> Dead = deadPrivateIds(Plan);
+  EXPECT_EQ(M.checksumExcluding(Dead), Serial.checksumExcluding(Dead));
 }
 
 } // namespace

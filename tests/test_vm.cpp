@@ -5,16 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The bytecode engine end to end, with the tree-walking interpreter as the
-/// differential oracle: --engine=both runs every program twice and demands
-/// bit-identical final-memory checksums (or matching fault kinds), across
-/// every schedule x thread-count combination, on the Fig. 16 benchmark
-/// reconstructions and Fig. 1(a)'s while loop, the recurrence-promoted
-/// kernels, conditional-dispatch loops (inspection pass and fail), and a
-/// mid-chunk fault with rollback + serial replay. Compiler-level tests pin
-/// the fusion and scalar peepholes, while lowering and the bailout
-/// taxonomy; fault tests pin tree-walk attribution inside while bodies and
-/// deadline polls inside long VM chunks.
+/// The bytecode engine end to end, with the plan-free serial tree walk as
+/// the differential oracle: --engine=both runs every program twice and
+/// demands bit-identical final-memory checksums (or matching fault kinds),
+/// across every schedule x thread-count combination, on the Fig. 16
+/// benchmark reconstructions and Fig. 1(a)'s while loop, the
+/// recurrence-promoted kernels, conditional-dispatch loops (inspection pass
+/// and fail), and a mid-chunk fault with rollback + serial replay.
+/// Compiler-level tests pin the fusion and scalar peepholes, while lowering
+/// and the bailout taxonomy; fault tests pin serial tree-walk attribution
+/// inside while bodies and deadline polls inside long VM chunks.
 ///
 /// Suite names here start with "Vm" so the CI ThreadSanitizer job's
 /// --gtest_filter picks them up.
@@ -88,8 +88,9 @@ const char *PrefixSumScatter = R"(program t
   end)";
 
 /// Conditional-dispatch kernels of test_runtime_check.cpp: the permutation
-/// index passes inspection (parallel), the duplicate-heavy one fails it
-/// (serial fallback) — the VM must agree with the interpreter either way.
+/// index passes inspection (dispatched on the VM), the duplicate-heavy one
+/// fails it (serial fallback) — the result must match the serial tree walk
+/// either way.
 const char *PermutationScatter = R"(program t
     integer i, n
     integer ind(1000)
@@ -133,6 +134,14 @@ struct Harness {
     Memory Serial = I.run(ExecOptions{});
     EXPECT_FALSE(I.faultState().Faulted) << I.faultState().str();
     return Serial.checksumExcluding(deadPrivateIds(Plan));
+  }
+
+  /// The plan-free serial tree walk's fault: the reference attribution.
+  RuntimeFault serialFault() {
+    Interpreter I(*P);
+    I.run(ExecOptions{});
+    EXPECT_TRUE(I.faultState().Faulted);
+    return I.faultState().Fault;
   }
 
   ExecOptions baseOptions(unsigned T, Schedule S, ExecEngine E) {
@@ -332,7 +341,8 @@ TEST(VmCompile, PlansMarkEligibility) {
 TEST(VmDifferential, Fig16BenchmarksBitIdenticalEverywhere) {
   // Fig. 1(a)'s dok (a linked-list while inside the certified loop) joins
   // the five programs: every certified loop body lowers, while loops
-  // included, so no program bails to the tree walk.
+  // included, so no program bails and every dispatch, T=1 included, runs
+  // on the VM.
   std::vector<benchprogs::BenchmarkProgram> Programs =
       benchprogs::allBenchmarks(0.05);
   Programs.push_back({"fig1a", benchprogs::fig1aSource(), {"dok"}, {}});
@@ -344,12 +354,10 @@ TEST(VmDifferential, Fig16BenchmarksBitIdenticalEverywhere) {
                           "/T=" + std::to_string(T);
         ExecStats Stats = H.runBoth(T, S, Ctx);
         EXPECT_EQ(Stats.VmBailouts, 0u) << Ctx;
-        if (T > 1) {
-          EXPECT_GT(Stats.VmParallelLoopRuns, 0u)
-              << Ctx << ": the VM engine never engaged";
-          EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns)
-              << Ctx << ": a parallel loop stayed on the tree walk";
-        }
+        EXPECT_GT(Stats.VmParallelLoopRuns, 0u)
+            << Ctx << ": the VM engine never engaged";
+        EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns)
+            << Ctx << ": a dispatched loop ran off the VM";
       }
   }
 }
@@ -374,13 +382,12 @@ TEST(VmDifferential, ConditionalDispatchPassAndFail) {
         ExecStats Stats =
             H.runBoth(T, S, std::string("perm/") + scheduleName(S) +
                                 "/T=" + std::to_string(T));
-        if (T > 1)
-          EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
+        EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
       }
   }
   {
-    // Failed inspection: the loop never dispatches parallel, so the VM
-    // never engages — but both engines must still agree bit for bit.
+    // Failed inspection: the scatter never dispatches, so it runs on the
+    // tree walk — and must still agree bit for bit with the reference.
     Harness H(DuplicateScatter);
     ExecStats Stats = H.runBoth(4, Schedule::Static, "dup");
     EXPECT_GT(Stats.RuntimeCheckFails, 0u);
@@ -393,8 +400,7 @@ TEST(VmDifferential, ConditionalDispatchPassAndFail) {
 
 TEST(VmEngine, ParseAndNames) {
   ExecEngine E;
-  EXPECT_TRUE(parseEngine("interp", E));
-  EXPECT_EQ(E, ExecEngine::Interp);
+  EXPECT_FALSE(parseEngine("interp", E)) << "the interp engine was removed";
   EXPECT_TRUE(parseEngine("vm", E));
   EXPECT_EQ(E, ExecEngine::Vm);
   EXPECT_TRUE(parseEngine("both", E));
@@ -402,16 +408,6 @@ TEST(VmEngine, ParseAndNames) {
   EXPECT_FALSE(parseEngine("jit", E));
   EXPECT_STREQ(engineName(ExecEngine::Vm), "vm");
   EXPECT_STREQ(engineName(ExecEngine::Both), "both");
-}
-
-TEST(VmEngine, InterpEngineNeverCompiles) {
-  Harness H(PermutationScatter);
-  Interpreter I(*H.P);
-  ExecStats Stats;
-  I.run(H.baseOptions(4, Schedule::Static, ExecEngine::Interp), &Stats);
-  EXPECT_EQ(Stats.VmLoopsCompiled, 0u);
-  EXPECT_EQ(Stats.VmParallelLoopRuns, 0u);
-  EXPECT_EQ(Stats.VmChunksRun, 0u);
 }
 
 TEST(VmEngine, VmEngineCompilesOncePerLoop) {
@@ -427,8 +423,9 @@ TEST(VmEngine, VmEngineCompilesOncePerLoop) {
 
 TEST(VmEngine, UnsupportedBodyFallsBackPerLoop) {
   // lp is certified parallel but calls through a 9-deep chain — past the
-  // VM compiler's inline budget, so it must bail back to the tree walk;
-  // par is clean and runs on bytecode. The program result is unchanged.
+  // VM compiler's inline budget, so it bails and runs serially on the tree
+  // walk; par is clean and runs on bytecode. The program result is
+  // unchanged.
   Harness H(R"(program t
     integer i, n
     real t
@@ -489,6 +486,10 @@ TEST(VmEngine, UnsupportedBodyFallsBackPerLoop) {
   EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want);
   EXPECT_GT(Stats.VmBailouts, 0u);
   EXPECT_GT(Stats.VmParallelLoopRuns, 0u) << "par must still run on the VM";
+  EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns)
+      << "the bailed lp must not dispatch";
+  EXPECT_EQ(Stats.DispatchStatic, 1u) << "par";
+  EXPECT_EQ(Stats.DispatchSerial, 1u) << "lp runs serially, uninspected";
 }
 
 //===----------------------------------------------------------------------===//
@@ -531,9 +532,9 @@ TEST(VmFault, MidChunkFaultRollsBackAndReplays) {
 }
 
 TEST(VmFault, GenuineFaultIdenticalAttributionAcrossEngines) {
-  // A poisoned index dispatched past a lying inspector: both engines must
-  // trap the out-of-bounds subscript, roll back, and reproduce it in the
-  // serial replay with the same exact attribution.
+  // A poisoned index dispatched past a lying inspector: the VM must trap
+  // the out-of-bounds subscript, roll back, and reproduce it in the serial
+  // replay with the plan-free serial tree walk's exact attribution.
   const char *Poisoned = R"(program t
     integer i, n
     integer ind(1000)
@@ -548,25 +549,28 @@ TEST(VmFault, GenuineFaultIdenticalAttributionAcrossEngines) {
       x(ind(i)) = x(ind(i)) + 1.0
     end do
   end)";
-  for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Vm}) {
-    Harness H(Poisoned);
-    verify::FaultInjector Inj;
-    Inj.skipInspectionOf("scat");
-    Interpreter I(*H.P);
-    ExecOptions Opts = H.baseOptions(4, Schedule::Static, E);
-    Opts.Injector = &Inj;
-    I.run(Opts);
-    const FaultState &FS = I.faultState();
-    std::string Ctx = engineName(E);
-    ASSERT_TRUE(FS.Faulted) << Ctx;
-    EXPECT_EQ(FS.Fault.Kind, FaultKind::OutOfBounds) << Ctx;
-    EXPECT_TRUE(FS.Fault.DuringReplay) << Ctx;
-    EXPECT_EQ(FS.Fault.Loop, "scat") << Ctx;
-    EXPECT_EQ(FS.Fault.Iteration, 500) << Ctx;
-    EXPECT_EQ(FS.Fault.Value, 2000) << Ctx;
-    EXPECT_EQ(FS.Fault.Bound, 1000) << Ctx;
-    EXPECT_EQ(FS.Rollbacks, 1u) << Ctx;
-  }
+  Harness H(Poisoned);
+  RuntimeFault Want = H.serialFault(); // FaultSerial.* pins its fields.
+  verify::FaultInjector Inj;
+  Inj.skipInspectionOf("scat");
+  Interpreter I(*H.P);
+  ExecOptions Opts = H.baseOptions(4, Schedule::Static, ExecEngine::Vm);
+  Opts.Injector = &Inj;
+  ExecStats Stats;
+  I.run(Opts, &Stats);
+  const FaultState &FS = I.faultState();
+  ASSERT_TRUE(FS.Faulted);
+  EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
+  EXPECT_EQ(FS.Rollbacks, 1u);
+  EXPECT_TRUE(FS.Fault.DuringReplay);
+  EXPECT_EQ(FS.Fault.Kind, Want.Kind);
+  EXPECT_EQ(FS.Fault.Loc.Line, Want.Loc.Line);
+  EXPECT_EQ(FS.Fault.Loc.Col, Want.Loc.Col);
+  EXPECT_EQ(FS.Fault.Loop, Want.Loop);
+  EXPECT_EQ(FS.Fault.Iteration, Want.Iteration);
+  EXPECT_EQ(FS.Fault.Var, Want.Var);
+  EXPECT_EQ(FS.Fault.Value, Want.Value);
+  EXPECT_EQ(FS.Fault.Bound, Want.Bound);
 }
 
 /// A certified loop whose while body reads y(k) for k = 1..lim(i): lim(700)
@@ -597,18 +601,18 @@ const char *WhileOutOfBounds = R"(program t
     end do
   end)";
 
-/// Report-mode run of \p H's program on \p E at T=4: the faulting loop's
+/// Report-mode run of \p H's program on the VM at T=4: the faulting loop's
 /// transaction rolls back and its first fault is returned without a serial
 /// replay.
-RuntimeFault reportedFault(Harness &H, ExecEngine E, ExecStats &Stats) {
+RuntimeFault reportedFault(Harness &H, ExecStats &Stats) {
   Interpreter I(*H.P);
-  ExecOptions Opts = H.baseOptions(4, Schedule::Static, E);
+  ExecOptions Opts = H.baseOptions(4, Schedule::Static, ExecEngine::Vm);
   Opts.OnFault = FaultAction::Report;
   I.run(Opts, &Stats);
   const FaultState &FS = I.faultState();
-  EXPECT_TRUE(FS.Faulted) << engineName(E);
-  EXPECT_EQ(FS.Rollbacks, 1u) << engineName(E);
-  EXPECT_EQ(FS.Replays, 0u) << engineName(E);
+  EXPECT_TRUE(FS.Faulted);
+  EXPECT_EQ(FS.Rollbacks, 1u);
+  EXPECT_EQ(FS.Replays, 0u);
   return FS.Fault;
 }
 
@@ -617,9 +621,9 @@ TEST(VmFault, WhileOutOfBoundsMatchesTreeWalk) {
   const xform::LoopReport *Rep = H.Plan.reportFor("lp");
   ASSERT_NE(Rep, nullptr);
   ASSERT_TRUE(Rep->Parallel) << Rep->WhyNot;
-  ExecStats TreeStats, VmStats;
-  RuntimeFault Tree = reportedFault(H, ExecEngine::Interp, TreeStats);
-  RuntimeFault Vm = reportedFault(H, ExecEngine::Vm, VmStats);
+  RuntimeFault Tree = H.serialFault();
+  ExecStats VmStats;
+  RuntimeFault Vm = reportedFault(H, VmStats);
   EXPECT_GT(VmStats.VmParallelLoopRuns, 0u);
   EXPECT_EQ(VmStats.VmBailouts, 0u);
 
@@ -638,6 +642,7 @@ TEST(VmFault, WhileOutOfBoundsMatchesTreeWalk) {
   EXPECT_EQ(Vm.Value, Tree.Value);
   EXPECT_EQ(Vm.Bound, Tree.Bound);
   EXPECT_TRUE(Vm.InParallel);
+  EXPECT_FALSE(Tree.InParallel);
 }
 
 TEST(VmFault, RunawayWhileTripsTheIterationGuard) {
@@ -670,7 +675,7 @@ TEST(VmFault, RunawayWhileTripsTheIterationGuard) {
   ASSERT_NE(It, L->body().end());
   const auto *WS = cast<WhileStmt>(*It);
   ExecStats Stats;
-  RuntimeFault F = reportedFault(H, ExecEngine::Vm, Stats);
+  RuntimeFault F = reportedFault(H, Stats);
   EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
   EXPECT_EQ(F.Kind, FaultKind::IterationGuard);
   EXPECT_EQ(F.Loc.Line, WS->loc().Line);

@@ -1,4 +1,4 @@
-//===- bench/bench_profile.cpp - Memory-access profiling coverage ---------===//
+//===- bench/bench_profile.cpp - Loop profiling coverage ------------------===//
 //
 // Part of the IAA project, an open-source reproduction of
 // "Compiler Analysis of Irregular Memory Accesses" (Lin & Padua, PLDI 2000).
@@ -6,15 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Profiles the Fig. 16 kernels plus the paper's motivating gather/scatter
-/// and sparse-CCS shapes with the iaa::prof sampling profiler: per labeled
-/// loop the health verdict, access-locality score (fraction of sampled
-/// accesses reusing a cache line within 32 lines), cache-line footprint,
-/// and worker imbalance — and, per program, the profiling overhead
-/// (profiled vs. unprofiled process CPU time at the default sampling
-/// rate, which the acceptance gate keeps under 10%). Emits
-/// BENCH_profile.json, so
-/// locality regressions become visible per PR the same way timing
-/// regressions already are.
+/// and sparse-CCS shapes with the iaa::prof loop profiler: per labeled loop
+/// the health verdict, the invocations per dispatch tier, worker imbalance
+/// and the analysis-cost share — and, per program, the profiling overhead
+/// (profiled vs. unprofiled process CPU time). Emits BENCH_profile.json,
+/// so dispatch regressions become visible the same way timing regressions
+/// already are.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,8 +69,8 @@ std::pair<double, double> measureOverhead(const Compiled &C, unsigned Threads,
 }
 
 void printProfiles() {
-  std::printf("\n=== Memory-access profiles: Fig. 16 kernels + motivating "
-              "shapes (4 simulated processors, IAA pipeline) ===\n\n");
+  std::printf("\n=== Loop profiles: Fig. 16 kernels + motivating shapes "
+              "(4 simulated processors, IAA pipeline) ===\n\n");
   double Scale = benchScale();
   JsonReport Report("profile");
 
@@ -85,12 +82,11 @@ void printProfiles() {
   for (const auto &B : Programs) {
     Compiled C = compile(B, xform::PipelineMode::Full);
 
-    // Overhead: profiled vs. unprofiled process CPU time at the default
-    // sampling rate. Separate sessions per run keep invocation caps out
-    // of play. Sub-millisecond programs are all fixed per-invocation cost
-    // (session setup, reuse-distance finalize) — a percentage of nothing —
-    // so they are excluded from the overhead row rather than reported as
-    // a scary number.
+    // Overhead: profiled vs. unprofiled process CPU time. Separate
+    // sessions per run keep invocation caps out of play. Sub-millisecond
+    // programs are all fixed per-invocation cost (session setup, record
+    // building) — a percentage of nothing — so they are excluded from the
+    // overhead row rather than reported as a scary number.
     auto [Plain, Profiled] = measureOverhead(C, 4, 5);
     bool OverheadMeaningful = Plain >= 1e-3;
     double OverheadPct =
@@ -113,24 +109,23 @@ void printProfiles() {
       Report.row({{"program", json::str(B.Name)},
                   {"loop", json::str(H.Label)},
                   {"verdict", json::str(H.Verdict)},
-                  {"locality", json::num(H.LocalityScore)},
+                  {"dispatch_static", json::num(H.DispatchStatic)},
+                  {"dispatch_conditional", json::num(H.DispatchConditional)},
+                  {"dispatch_serial", json::num(H.DispatchSerial)},
+                  {"dispatch_replay", json::num(H.DispatchReplay)},
                   {"imbalance_pct", json::num(H.ImbalancePct)},
                   {"analysis_pct", json::num(H.AnalysisPct)},
-                  {"footprint_lines",
-                   json::num(static_cast<double>(H.FootprintLines))},
-                  {"sampled",
-                   json::num(static_cast<double>(H.SampledAccesses))},
                   {"invocations", json::num(H.Invocations)},
                   {"wall_us", json::num(H.WallUs)},
                   {"overhead_pct", json::num(OverheadPct)}});
   }
 
   Report.write();
-  std::printf("\nLocality is the fraction of sampled accesses whose "
-              "cache-line reuse distance is under 32 lines (cold first "
-              "touches count against it); footprint is distinct 64-byte "
-              "lines touched. Overhead compares profiled vs. unprofiled "
-              "run time at the default 1-in-16 sampling rate.\n\n");
+  std::printf("\nDispatch counts invocations per tier (static / "
+              "conditional / serial / replay); imbalance compares the "
+              "busiest worker with the mean. Overhead compares profiled vs. "
+              "unprofiled CPU time: the profiler records per loop "
+              "invocation and per chunk, never per element access.\n\n");
 }
 
 /// google-benchmark wrapper: one profiled simulated run (P3M's gathers).

@@ -46,12 +46,12 @@
 //   --stats    print the statistic counters and per-phase timings
 //   --trace    write a Chrome trace-event JSON file (chrome://tracing)
 //   --remarks  write optimization remarks as JSONL, one record per loop
-//   --profile  sample memory accesses during the run (implies --run):
-//              prints a per-loop health report (dispatch verdict, access
-//              locality, imbalance, analysis-cost share) and writes the
-//              full profile — reuse-distance histograms, cache-line
-//              footprints, per-worker chunk timelines, optional hardware
-//              counters — as JSONL (default profile.jsonl)
+//   --profile  profile each labeled loop during the run (implies --run):
+//              prints a per-loop health report (dispatch verdict and tiers,
+//              imbalance, analysis-cost share) and writes the full profile
+//              — one record per invocation with its dispatch decision,
+//              per-worker chunk timelines and optional hardware counters —
+//              as JSONL (default profile.jsonl)
 //
 // With no file argument it analyzes the paper's Fig. 1(a) example.
 //
@@ -361,11 +361,18 @@ int main(int argc, char **argv) {
     Seq.Cancel = Cancel.get();
     Seq.MemLimitBytes = MemLimitBytes;
     interp::ExecStats SeqStats;
-    interp::Memory Serial = I.run(Seq, &SeqStats);
-    if (I.faultState().Faulted)
-      return ReportFault("serial run", I.faultState());
-    std::printf("\nserial run: %.3fs, checksum %.6f\n",
-                SeqStats.TotalSeconds, Serial.checksum());
+    // The serial image is needed only for its checksums: take them and
+    // free it, so the parallel run does not stack on top of it.
+    std::set<unsigned> Dead = interp::deadPrivateIds(R);
+    double SerialLive = 0;
+    {
+      interp::Memory Serial = I.run(Seq, &SeqStats);
+      if (I.faultState().Faulted)
+        return ReportFault("serial run", I.faultState());
+      std::printf("\nserial run: %.3fs, checksum %.6f\n",
+                  SeqStats.TotalSeconds, Serial.checksum());
+      SerialLive = Serial.checksumExcluding(Dead);
+    }
     interp::ExecOptions Par;
     Par.Plans = &R;
     Par.Threads = Threads;
@@ -391,17 +398,13 @@ int main(int argc, char **argv) {
     }
     if (ParFS.Faulted)
       return ReportFault("parallel run", ParFS);
-    std::set<unsigned> Dead = interp::deadPrivateIds(R);
+    double ParallelLive = Parallel.checksumExcluding(Dead);
     std::printf("parallel run (%u simulated processors, %s schedule): %.3fs "
                 "(speedup %.2f over the serial tree walk, engine and "
                 "parallel gain combined), checksum %.6f (%s)\n",
                 Threads, interp::scheduleName(Sched), ParStats.TotalSeconds,
-                SeqStats.TotalSeconds / ParStats.TotalSeconds,
-                Parallel.checksumExcluding(Dead),
-                Serial.checksumExcluding(Dead) ==
-                        Parallel.checksumExcluding(Dead)
-                    ? "matches serial"
-                    : "DIVERGES");
+                SeqStats.TotalSeconds / ParStats.TotalSeconds, ParallelLive,
+                SerialLive == ParallelLive ? "matches serial" : "DIVERGES");
     std::printf("engine (%s): %u loop%s compiled to bytecode, %u bailout%s "
                 "run serially, %u vm dispatch%s, %u vm chunk%s\n",
                 interp::engineName(Engine), ParStats.VmLoopsCompiled,

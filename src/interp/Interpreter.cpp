@@ -414,12 +414,6 @@ public:
     const DoStmt *CurLoop = nullptr;
     int64_t CurIter = 0;
     bool InReplay = false;
-    /// Profiling sample countdown: decremented per element access while a
-    /// recorder is active; hits zero on the access to sample, and the
-    /// recorder hands back the next (jittered) skip. Keeping it in the
-    /// frame — already hot in cache — makes the per-access profiling cost
-    /// a pointer test plus one decrement.
-    uint32_t ProfSkip = 1;
   };
 
   void runMain() {
@@ -458,46 +452,24 @@ private:
   }
 
   /// RAII profiling scope for one labeled-loop invocation. Opens a
-  /// recorder in the session, routes element accesses to it via ProfCur
-  /// (nested unlabeled loops flow to the enclosing labeled recorder; a
-  /// past-the-cap "light" invocation suspends access attribution instead
-  /// of leaking into the outer loop), and finalizes on destruction — so a
-  /// fault unwinding out of the loop still lands a complete record.
-  /// ProfCur is only mutated here, on the run() thread; VM workers read it.
+  /// recorder in the session and finalizes it on destruction — so a fault
+  /// unwinding out of the loop still lands a complete record.
   struct ProfScope {
-    Exec &E;
-    Frame &F;
+    prof::Session *S = nullptr;
     prof::LoopRecorder *Rec = nullptr;
-    prof::LoopRecorder *Prev = nullptr;
-    uint32_t SavedSkip = 1;
 
-    ProfScope(Exec &E, Frame &F, const DoStmt *DS, int64_t Lo, int64_t Up,
-              int64_t NIter)
-        : E(E), F(F) {
-      if (!E.Opts.Prof || F.InReplay || DS->label().empty())
+    ProfScope(const ExecOptions &Opts, const Frame &F, const DoStmt *DS,
+              int64_t Lo, int64_t Up, int64_t NIter) {
+      if (!Opts.Prof || F.InReplay || DS->label().empty())
         return;
-      Rec = E.Opts.Prof->beginLoop(DS->label(), E.Prog.numSymbols(),
-                                   std::max(1u, E.Opts.Threads), Lo, Up,
-                                   NIter);
-      Prev = E.ProfCur;
-      E.ProfCur = Rec->light() ? nullptr : Rec;
-      if (E.ProfCur) {
-        // The recorder reseeded its sample RNGs for this invocation, so
-        // the frame's countdown must restart too — a leftover skip from a
-        // previous invocation would phase-shift every sample this one
-        // takes, breaking run-to-run reproducibility.
-        SavedSkip = F.ProfSkip;
-        F.ProfSkip = 1;
-      }
+      S = Opts.Prof;
+      Rec = S->beginLoop(DS->label(), std::max(1u, Opts.Threads), Lo, Up,
+                         NIter);
     }
 
     ~ProfScope() {
-      if (!Rec)
-        return;
-      if (E.ProfCur == Rec)
-        F.ProfSkip = SavedSkip;
-      E.ProfCur = Prev;
-      E.Opts.Prof->endLoop(Rec);
+      if (Rec)
+        S->endLoop(Rec);
     }
 
     ProfScope(const ProfScope &) = delete;
@@ -665,10 +637,6 @@ private:
       size_t Idx = linearIndex(AR, F);
       if (!Monitors.empty())
         noteRead(AR->array(), Idx);
-      if (ProfCur && --F.ProfSkip == 0)
-        F.ProfSkip = ProfCur->noteSampledAccess(AR->array(), Idx, B.size(),
-                                                /*IsWrite=*/false,
-                                                /*Worker=*/0);
       return B.Kind == ScalarKind::Int ? Value::ofInt(B.I[Idx])
                                        : Value::ofReal(B.D[Idx]);
     }
@@ -766,9 +734,6 @@ private:
     size_t Idx = linearIndex(AR, F);
     if (!Monitors.empty())
       noteWrite(AR->array(), Idx);
-    if (ProfCur && --F.ProfSkip == 0)
-      F.ProfSkip = ProfCur->noteSampledAccess(AR->array(), Idx, B.size(),
-                                              /*IsWrite=*/true, /*Worker=*/0);
     // Every tree-walk write bumps the buffer's version (inspector-cache
     // key). VM chunks do not; execDo bumps a dispatched loop's whole write
     // set once after the join instead.
@@ -1024,7 +989,7 @@ private:
 
     // Profiling scope for labeled loops outside a replay: opens a recorder
     // in the session, finalized (even on unwinding) at scope exit.
-    ProfScope PS(*this, F, DS, Lo, Up, NIter);
+    ProfScope PS(Opts, F, DS, Lo, Up, NIter);
     prof::LoopRecorder *Rec = PS.Rec;
 
     // Inspector/executor: a statically-serial loop carrying a
@@ -1052,9 +1017,11 @@ private:
 
     // Race checking replaces parallel execution: the plan-marked loop runs
     // serially under shadow tags, bypassing the profitability guard so
-    // every certified plan is checked regardless of size.
+    // every certified plan is checked regardless of size. It forks
+    // nothing, so it counts in the serial tier, as the recorder's default
+    // kind does.
     if (Plan && Opts.RaceCheck && NIter >= 2) {
-      countTier(dispatch_static, &ExecStats::DispatchStatic);
+      countTier(dispatch_serial, &ExecStats::DispatchSerial);
       if (Rec)
         Rec->Detail = "race-check: plan-marked loop forced serial";
       execDoShadow(DS, Plan, Lo, Up, F);
@@ -1123,7 +1090,6 @@ private:
     if (Rec) {
       Rec->Kind = CondInspected ? prof::DispatchKind::CondParallel
                                 : prof::DispatchKind::Parallel;
-      Rec->Engine = "vm";
       Rec->Threads = T;
       Rec->Schedule = scheduleName(Opts.Sched);
     }
@@ -1147,11 +1113,6 @@ private:
       unsigned Chunks = 0;
       double SecondsSum = 0;
       double SecondsMax = 0;
-      /// Profiling sample countdown, persisted across this worker's chunks
-      /// so the sampling stream stays one jittered sequence per worker per
-      /// invocation (a per-chunk reset would always sample each chunk's
-      /// first access, biasing the stream).
-      uint32_t ProfSkip = 1;
     };
     std::vector<WorkerState> Workers(T);
 
@@ -1212,8 +1173,6 @@ private:
       VC.Worker = W;
       VC.Injector = Opts.Injector;
       VC.Cancel = Cancel;
-      VC.Rec = ProfCur;
-      VC.ProfSkip = &WS.ProfSkip;
       vm::runChunk(VmProg, VC);
       double Secs = CT.seconds();
       if (Rec)
@@ -1623,12 +1582,6 @@ private:
   /// Active shadow monitors, innermost last (non-empty only under
   /// ExecOptions::RaceCheck, inside plan-marked loops).
   std::vector<ShadowMonitor *> Monitors;
-  /// Innermost active loop recorder (null when profiling is off, inside
-  /// an unprofiled region, or during a past-the-cap light invocation).
-  /// Written only from serial context (ProfScope); parallel workers read
-  /// it — the fork publishes it, the join synchronizes before the next
-  /// mutation.
-  prof::LoopRecorder *ProfCur = nullptr;
 };
 
 } // namespace

@@ -191,12 +191,11 @@ struct ExecOptions {
   /// Test-only fault-injection hook (see FaultInjectionHook); null in
   /// production runs.
   const FaultInjectionHook *Injector = nullptr;
-  /// Memory-access profiling session (prof/Profiler.h); null disables all
-  /// profiling hooks. The interpreter records, per labeled-loop
-  /// invocation, sampled cache-line access streams, per-worker chunk
-  /// timelines, dispatch decisions, and analysis-cost attribution into the
-  /// session. Observation only: program results are bit-identical with
-  /// profiling on or off.
+  /// Loop profiling session (prof/Profiler.h); null disables profiling.
+  /// The interpreter records, per labeled-loop invocation, the dispatch
+  /// decision, per-worker chunk timelines, and analysis-cost attribution
+  /// into the session; no hook runs per element access. Observation only:
+  /// program results are bit-identical with profiling on or off.
   prof::Session *Prof = nullptr;
   /// Engine selection (see ExecEngine). Vm lowers each dispatched loop to
   /// register bytecode (a loop the compiler bails on runs serially); Both
@@ -287,7 +286,8 @@ struct ExecStats {
   /// tiers partition every dispatch decision — one tier per invocation:
   /// static (parallel on a static proof, no inspection), conditional
   /// (decided by the runtime-check inspector, whichever way it fell),
-  /// serial (no inspector consulted), replay (dispatched parallel but
+  /// serial (no inspector consulted; a race-checked plan-marked loop runs
+  /// here too, since it forks nothing), replay (dispatched parallel but
   /// faulted, rolled back, and serially replayed — the replay's nested
   /// loops and the original parallel tier are *not* double-counted).
   unsigned DispatchStatic = 0;

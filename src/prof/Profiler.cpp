@@ -1,4 +1,4 @@
-//===- prof/Profiler.cpp - Sampling memory-access profiler ----------------===//
+//===- prof/Profiler.cpp - Per-loop dispatch profiler ---------------------===//
 //
 // Part of the IAA project, an open-source reproduction of
 // "Compiler Analysis of Irregular Memory Accesses" (Lin & Padua, PLDI 2000).
@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <unordered_map>
 
 using namespace iaa;
 using namespace iaa::prof;
@@ -23,63 +22,6 @@ using namespace iaa::prof;
 #define IAA_STAT_GROUP "prof"
 IAA_STAT(prof_loops_recorded, "Loop invocations fully recorded");
 IAA_STAT(prof_loops_light, "Loop invocations past the recording cap");
-IAA_STAT(prof_accesses_sampled, "Element accesses admitted to line streams");
-
-//===----------------------------------------------------------------------===//
-// Reuse distances (Olken)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Fenwick tree over stream positions (1-based internally);
-/// prefix(P) = # set flags in positions [0, P].
-class Fenwick {
-public:
-  explicit Fenwick(size_t N) : Tree(N + 1, 0) {}
-
-  void add(size_t Pos, int Delta) {
-    for (size_t I = Pos + 1; I < Tree.size(); I += I & (0 - I))
-      Tree[I] += Delta;
-  }
-
-  int64_t prefix(size_t Pos) const {
-    int64_t S = 0;
-    for (size_t I = Pos + 1; I > 0; I -= I & (0 - I))
-      S += Tree[I];
-    return S;
-  }
-
-private:
-  std::vector<int64_t> Tree;
-};
-
-} // namespace
-
-void iaa::prof::reuseDistances(const std::vector<uint32_t> &Lines,
-                               ReuseHistogram &H) {
-  // Olken: keep, per line, the position of its last access, and a Fenwick
-  // tree with a 1 at every position that is currently someone's last
-  // access. The number of distinct lines touched strictly between two
-  // accesses to the same line is then a prefix-sum difference.
-  Fenwick Live(Lines.size());
-  std::unordered_map<uint32_t, size_t> Last;
-  Last.reserve(Lines.size());
-  for (size_t T = 0; T < Lines.size(); ++T) {
-    uint32_t L = Lines[T];
-    auto It = Last.find(L);
-    if (It == Last.end()) {
-      ++H.Cold;
-    } else {
-      size_t P = It->second;
-      // Distinct live last-accesses in (P, T) = Sum(T-1) - Sum(P).
-      uint64_t D = static_cast<uint64_t>(Live.prefix(T - 1) - Live.prefix(P));
-      H.add(D);
-      Live.add(P, -1);
-    }
-    Live.add(T, +1);
-    Last[L] = T;
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Names and JSON helpers
@@ -105,23 +47,21 @@ const char *iaa::prof::dispatchKindName(DispatchKind K) {
 
 namespace {
 
-std::string jsonArrayProfile(const ArrayProfile &A) {
-  std::string Hist = "[";
-  for (unsigned I = 0; I < ReuseHistogram::NumBuckets; ++I) {
-    if (I)
-      Hist += ",";
-    Hist += std::to_string(A.Hist.Buckets[I]);
+/// The engine that ran the loop body: a dispatched invocation (a replay
+/// included) ran its chunks as register bytecode, every other one ran on
+/// the serial tree walk.
+const char *engineName(DispatchKind K) {
+  switch (K) {
+  case DispatchKind::Parallel:
+  case DispatchKind::CondParallel:
+  case DispatchKind::Replay:
+    return "vm";
+  case DispatchKind::Serial:
+  case DispatchKind::SerialSmall:
+  case DispatchKind::CondSerial:
+    return "interp";
   }
-  Hist += "]";
-  return "{\"name\": " + json::str(A.Name) +
-         ", \"reads\": " + std::to_string(A.Reads) +
-         ", \"writes\": " + std::to_string(A.Writes) +
-         ", \"sampled\": " + std::to_string(A.Sampled) +
-         ", \"dropped\": " + std::to_string(A.SamplesDropped) +
-         ", \"lines\": " + std::to_string(A.FootprintLines) +
-         ", \"cold\": " + std::to_string(A.Hist.Cold) +
-         ", \"reuse_hist\": " + Hist +
-         ", \"locality\": " + json::num(A.Hist.localityScore()) + "}";
+  return "interp";
 }
 
 std::string jsonWorker(const WorkerTimeline &W) {
@@ -152,7 +92,7 @@ std::string LoopProfile::jsonLine() const {
                     ", \"dispatch\": " +
                     json::str(dispatchKindName(Kind)) +
                     ", \"detail\": " + json::str(Detail) +
-                    ", \"engine\": " + json::str(Engine) +
+                    ", \"engine\": " + json::str(engineName(Kind)) +
                     ", \"lo\": " + std::to_string(Lo) +
                     ", \"up\": " + std::to_string(Up) +
                     ", \"niter\": " + std::to_string(NIter) +
@@ -168,10 +108,7 @@ std::string LoopProfile::jsonLine() const {
            ", \"llc_misses\": " + std::to_string(Perf.LlcMisses) + "}";
   else
     Out += ", \"perf\": null";
-  Out += ", \"arrays\": [";
-  for (size_t I = 0; I < Arrays.size(); ++I)
-    Out += (I ? ", " : "") + jsonArrayProfile(Arrays[I]);
-  Out += "], \"workers\": [";
+  Out += ", \"workers\": [";
   for (size_t I = 0; I < Workers.size(); ++I)
     Out += (I ? ", " : "") + jsonWorker(Workers[I]);
   Out += "], \"chunks\": [";
@@ -192,12 +129,9 @@ std::string LoopHealth::jsonLine() const {
          ", \"invocations\": " + std::to_string(Invocations) +
          ", \"recorded\": " + std::to_string(Recorded) +
          ", \"threads_max\": " + std::to_string(ThreadsMax) +
-         ", \"locality\": " + json::num(LocalityScore) +
          ", \"imbalance_pct\": " + json::num(ImbalancePct) +
          ", \"analysis_pct\": " + json::num(AnalysisPct) +
          ", \"wall_us\": " + json::num(WallUs) +
-         ", \"footprint_lines\": " + std::to_string(FootprintLines) +
-         ", \"sampled\": " + std::to_string(SampledAccesses) +
          ", \"dispatch\": {\"static\": " + std::to_string(DispatchStatic) +
          ", \"conditional\": " + std::to_string(DispatchConditional) +
          ", \"serial\": " + std::to_string(DispatchSerial) +
@@ -207,11 +141,10 @@ std::string LoopHealth::jsonLine() const {
 std::string LoopHealth::str() const {
   char Buf[512];
   std::snprintf(Buf, sizeof(Buf),
-                "  %-10s %-20s locality %.2f  imbalance %5.1f%%  "
-                "analysis %4.1f%%  wall %.0fus  lines %llu  x%u\n",
-                Label.c_str(), Verdict.c_str(), LocalityScore, ImbalancePct,
-                AnalysisPct, WallUs,
-                static_cast<unsigned long long>(FootprintLines), Invocations);
+                "  %-10s %-20s imbalance %5.1f%%  analysis %4.1f%%  "
+                "wall %.0fus  x%u\n",
+                Label.c_str(), Verdict.c_str(), ImbalancePct, AnalysisPct,
+                WallUs, Invocations);
   std::string Out = Buf;
   std::snprintf(Buf, sizeof(Buf),
                 "             dispatch: static %u / conditional %u / "
@@ -228,20 +161,14 @@ std::string LoopHealth::str() const {
 // Session
 //===----------------------------------------------------------------------===//
 
-Session::Session(SessionOptions O) : Opts(O) {
-  unsigned ElemsPerLine = Opts.LineBytes / 8; // 8-byte int64/double elems.
-  LineShift = 0;
-  while ((1u << (LineShift + 1)) <= ElemsPerLine)
-    ++LineShift;
-}
+Session::Session(SessionOptions O) : Opts(O) {}
 
 Session::~Session() = default;
 
 bool Session::countersAvailable() const { return Perf && Perf->available(); }
 
-LoopRecorder *Session::beginLoop(const std::string &Label, unsigned NumSymbols,
-                                 unsigned MaxWorkers, int64_t Lo, int64_t Up,
-                                 int64_t NIter) {
+LoopRecorder *Session::beginLoop(const std::string &Label, unsigned MaxWorkers,
+                                 int64_t Lo, int64_t Up, int64_t NIter) {
   if (Opts.HardwareCounters && !PerfTried) {
     PerfTried = true;
     Perf = std::make_unique<PerfCounters>();
@@ -251,21 +178,12 @@ LoopRecorder *Session::beginLoop(const std::string &Label, unsigned NumSymbols,
   R->Label = Label;
   R->Invocation = Agg.Invocations++;
   R->Light = R->Invocation >= Opts.MaxInvocationsPerLoop;
-  R->NumSymbols = NumSymbols;
-  R->Period = Opts.SamplePeriod == 0 ? 1 : Opts.SamplePeriod;
-  R->MaxSamples = Opts.MaxSamplesPerArray;
   R->MaxChunkEvents = Opts.MaxChunkEventsPerWorker;
-  R->LineShift = LineShift;
   R->Lo = Lo;
   R->Up = Up;
   R->NIter = NIter;
   if (!R->Light) {
     R->Wrk.resize(MaxWorkers == 0 ? 1 : MaxWorkers);
-    // Distinct nonzero xorshift seeds per worker keep runs reproducible
-    // while decorrelating the workers' sampling clocks.
-    for (size_t W = 0; W < R->Wrk.size(); ++W)
-      R->Wrk[W].Rng = 0x9E3779B9u ^ (static_cast<uint32_t>(W) * 0x85EBCA6Bu +
-                                     0x27D4EB2Fu);
     if (Perf && Perf->available())
       R->PerfBegin = Perf->read();
   }
@@ -323,7 +241,6 @@ void Session::endLoop(LoopRecorder *R) {
   P.Invocation = R->Invocation;
   P.Kind = R->Kind;
   P.Detail = R->Detail;
-  P.Engine = R->Engine;
   P.Lo = R->Lo;
   P.Up = R->Up;
   P.NIter = R->NIter;
@@ -335,52 +252,6 @@ void Session::endLoop(LoopRecorder *R) {
   P.ReplayUs = R->ReplayUs;
   if (Perf && Perf->available() && R->PerfBegin.Valid)
     P.Perf = Perf->read() - R->PerfBegin;
-
-  // Merge per-worker array records. The sampled line streams are only
-  // *stashed* here — the O(n log n) reuse-distance analysis is deferred
-  // to finalizeAnalysis() so it never lands inside a measured loop wall
-  // time. Streams stay separate per worker (each worker models its own
-  // cache); footprints union across workers (lines are lines no matter
-  // who touched them).
-  std::map<unsigned, ArrayProfile> Merged; // By symbol id, so ordered.
-  uint64_t InvocationFootprint = 0;
-  for (auto &W : R->Wrk) {
-    for (auto &A : W.Arrays) {
-      if (!A.Sym)
-        continue;
-      ArrayProfile &Out = Merged[A.Sym->id()];
-      if (Out.Name.empty())
-        Out.Name = A.Sym->name();
-      // Sampled counters scale back up by the period into estimated
-      // totals (exact at period 1).
-      Out.Reads += A.Reads * R->Period;
-      Out.Writes += A.Writes * R->Period;
-      Out.Sampled += A.Lines.size();
-      Out.SamplesDropped += A.Dropped;
-      Out.PendingLines.push_back(std::move(A.Lines));
-    }
-  }
-  // Footprint over sampled accesses (exact at period 1): pop-count the
-  // union of the per-worker bitmaps.
-  for (auto &[Id, Out] : Merged) {
-    std::vector<uint64_t> Union;
-    for (const auto &W : R->Wrk) {
-      if (Id >= W.Arrays.size() || !W.Arrays[Id].Sym)
-        continue;
-      const auto &Bits = W.Arrays[Id].LineBits;
-      if (Union.size() < Bits.size())
-        Union.resize(Bits.size(), 0);
-      for (size_t I = 0; I < Bits.size(); ++I)
-        Union[I] |= Bits[I];
-    }
-    for (uint64_t Word : Union)
-      Out.FootprintLines += static_cast<uint64_t>(__builtin_popcountll(Word));
-    InvocationFootprint += Out.FootprintLines;
-    prof_accesses_sampled += Out.Sampled;
-    P.Arrays.push_back(std::move(Out));
-  }
-  if (InvocationFootprint > Agg.FootprintLines)
-    Agg.FootprintLines = InvocationFootprint;
 
   // Worker timelines. Serial-dispatch invocations never saw a chunk grant;
   // synthesize a single worker-0 lane (busy = wall) so every loop record
@@ -434,18 +305,9 @@ void Session::endLoop(LoopRecorder *R) {
     Agg.AvgBusySumUs += SumBusy / static_cast<double>(P.Workers.size());
   }
 
-  // Counter samples for the Chrome tracer: one track per loop label. The
-  // locality counter needs the reuse histograms, so this invocation's
-  // deferred analysis runs now — tracing already opted into overhead.
+  // Counter samples for the Chrome tracer: one track per loop label.
   if (trace::enabled()) {
-    analyzeArrays(P, Agg);
     trace::counter("loop-wall-us " + P.Label, P.WallUs);
-    ReuseHistogram All;
-    for (const ArrayProfile &A : P.Arrays)
-      All.merge(A.Hist);
-    trace::counter("loop-locality " + P.Label, All.localityScore());
-    trace::counter("loop-footprint-lines " + P.Label,
-                   static_cast<double>(InvocationFootprint));
     if (P.Perf.Valid)
       trace::counter("loop-llc-misses " + P.Label,
                      static_cast<double>(P.Perf.LlcMisses));
@@ -454,29 +316,12 @@ void Session::endLoop(LoopRecorder *R) {
   Profiles.push_back(std::move(P));
 }
 
-void Session::analyzeArrays(LoopProfile &P, LabelAgg &Agg) {
-  for (ArrayProfile &A : P.Arrays) {
-    if (A.PendingLines.empty())
-      continue; // Already analyzed.
-    for (const std::vector<uint32_t> &Stream : A.PendingLines)
-      reuseDistances(Stream, A.Hist);
-    A.PendingLines.clear();
-    A.PendingLines.shrink_to_fit();
-    Agg.Hist.merge(A.Hist);
-  }
-}
-
-void Session::finalizeAnalysis() {
-  for (LoopProfile &P : Profiles)
-    analyzeArrays(P, Aggregates[P.Label]);
-}
-
 void Session::notePhase(const std::string &Name, double Seconds) {
   Phases.emplace_back(Name, Seconds);
 }
 
-std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
-  finalizeAnalysis();
+std::vector<LoopHealth>
+Session::health(const xform::PipelineResult *Plans) const {
   std::vector<LoopHealth> Out;
   for (const auto &[Label, Agg] : Aggregates) {
     LoopHealth H;
@@ -506,7 +351,6 @@ std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
     H.Invocations = Agg.Invocations;
     H.Recorded = Agg.Recorded;
     H.ThreadsMax = Agg.ThreadsMax;
-    H.LocalityScore = Agg.Hist.localityScore();
     // Clamped at zero: when a fault cancels the dispenser before some
     // workers' first poll, the surviving busy intervals can be degenerate
     // (zero-length) and floating-point noise would otherwise let the ratio
@@ -518,8 +362,6 @@ std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
             : 0.0;
     H.AnalysisPct = Agg.WallUs > 0 ? Agg.AnalysisUs / Agg.WallUs * 100.0 : 0.0;
     H.WallUs = Agg.WallUs;
-    H.FootprintLines = Agg.FootprintLines;
-    H.SampledAccesses = Agg.Hist.Total + Agg.Hist.Cold;
     H.DispatchStatic = Agg.TierStatic;
     H.DispatchConditional = Agg.TierConditional;
     H.DispatchSerial = Agg.TierSerial;
@@ -529,7 +371,7 @@ std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
   return Out;
 }
 
-std::string Session::healthText(const xform::PipelineResult *Plans) {
+std::string Session::healthText(const xform::PipelineResult *Plans) const {
   std::string Out = "--- per-loop health report ---\n";
   std::vector<LoopHealth> Hs = health(Plans);
   if (Hs.empty())
@@ -553,13 +395,9 @@ std::string Session::healthText(const xform::PipelineResult *Plans) {
   return Out;
 }
 
-std::string Session::jsonl(const xform::PipelineResult *Plans) {
-  finalizeAnalysis();
+std::string Session::jsonl(const xform::PipelineResult *Plans) const {
   std::string Out =
-      "{\"type\": \"session\", \"sample_period\": " +
-      std::to_string(Opts.SamplePeriod) +
-      ", \"line_bytes\": " + std::to_string(Opts.LineBytes) +
-      ", \"max_invocations_per_loop\": " +
+      "{\"type\": \"session\", \"max_invocations_per_loop\": " +
       std::to_string(Opts.MaxInvocationsPerLoop) +
       ", \"perf_counters\": " + (countersAvailable() ? "true" : "false") +
       "}\n";
@@ -574,7 +412,7 @@ std::string Session::jsonl(const xform::PipelineResult *Plans) {
 }
 
 bool Session::writeJsonl(const std::string &Path,
-                         const xform::PipelineResult *Plans) {
+                         const xform::PipelineResult *Plans) const {
   std::ofstream Out(Path);
   if (!Out)
     return false;

@@ -1,4 +1,4 @@
-//===- prof/Profiler.h - Sampling memory-access profiler --------*- C++ -*-===//
+//===- prof/Profiler.h - Per-loop dispatch profiler -------------*- C++ -*-===//
 //
 // Part of the IAA project, an open-source reproduction of
 // "Compiler Analysis of Irregular Memory Accesses" (Lin & Padua, PLDI 2000).
@@ -6,14 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A sampling memory-access profiler the interpreter feeds from its
-/// gather/scatter element accesses. Per labeled-loop invocation it records
+/// The loop profiler the interpreter feeds from its dispatch decisions.
+/// Per labeled-loop invocation it records
 ///
-///  - per-array cache-line telemetry: a footprint count (a bitmap over the
-///    array's lines fed by the sampled accesses; exact at sample period 1)
-///    and a log2-bucketed reuse-distance histogram computed from the
-///    sampled line stream (Olken stack distances over the samples, so
-///    overhead stays bounded);
+///  - how the invocation was dispatched (serial, below the profitability
+///    threshold, parallel, conditional pass/fail, replayed) and why;
 ///  - a per-worker chunk timeline (dispatch delay, busy/stall seconds,
 ///    iteration ranges) derived from the ChunkDispenser's chunk grants;
 ///  - optional hardware counters (cycles, instructions, LLC misses) via
@@ -23,21 +20,19 @@
 ///    and serial replay attributed to the loop that paid them.
 ///
 /// A Session aggregates invocations per loop label into a *health report*
-/// (parallelized / conditional / serial, why, access-locality score,
-/// imbalance %, analysis-cost share) and emits everything as JSONL
-/// (`mfpar --profile`). When tracing is on, per-loop counter samples also
-/// flow into the Chrome trace as "ph":"C" events.
+/// (parallelized / conditional / serial, why, dispatch tiers, imbalance %,
+/// analysis-cost share) and emits everything as JSONL (`mfpar --profile`).
+/// When tracing is on, per-loop counter samples also flow into the Chrome
+/// trace as "ph":"C" events. Nothing here runs per element access.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IAA_PROF_PROFILER_H
 #define IAA_PROF_PROFILER_H
 
-#include "mf/Symbol.h"
 #include "prof/PerfCounters.h"
 #include "support/Timer.h"
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -53,69 +48,13 @@ struct PipelineResult;
 namespace prof {
 
 //===----------------------------------------------------------------------===//
-// Reuse-distance histogram
-//===----------------------------------------------------------------------===//
-
-/// Log2-bucketed histogram of cache-line reuse distances. The distance of
-/// an access is the number of *distinct other lines* touched since the
-/// previous access to the same line: 0 means immediate re-touch (the line
-/// is still hot), large distances mean the line was almost certainly
-/// evicted in between. Bucket 0 holds distance 0; bucket k >= 1 holds
-/// distances in [2^(k-1), 2^k). First-ever touches (infinite distance) are
-/// counted separately as Cold.
-struct ReuseHistogram {
-  static constexpr unsigned NumBuckets = 20;
-  std::array<uint64_t, NumBuckets> Buckets{};
-  uint64_t Cold = 0;  ///< First-touch accesses (no prior access to the line).
-  uint64_t Total = 0; ///< Reuses counted (sum over Buckets).
-
-  /// The bucket index for \p Distance (clamped into the last bucket).
-  static unsigned bucketFor(uint64_t Distance) {
-    if (Distance == 0)
-      return 0;
-    unsigned B = 64 - static_cast<unsigned>(__builtin_clzll(Distance));
-    return B < NumBuckets ? B : NumBuckets - 1;
-  }
-
-  void add(uint64_t Distance) {
-    ++Buckets[bucketFor(Distance)];
-    ++Total;
-  }
-
-  void merge(const ReuseHistogram &O) {
-    for (unsigned I = 0; I < NumBuckets; ++I)
-      Buckets[I] += O.Buckets[I];
-    Cold += O.Cold;
-    Total += O.Total;
-  }
-
-  /// Access-locality score in [0, 1]: the fraction of sampled accesses
-  /// whose reuse distance is below 32 lines (buckets 0..5 — small enough to
-  /// survive in L1/L2). Cold first touches count against the score; a
-  /// stream with no samples scores a neutral 1.
-  double localityScore() const {
-    uint64_t All = Total + Cold;
-    if (All == 0)
-      return 1.0;
-    uint64_t Near = 0;
-    for (unsigned I = 0; I <= 5 && I < NumBuckets; ++I)
-      Near += Buckets[I];
-    return static_cast<double>(Near) / static_cast<double>(All);
-  }
-};
-
-/// Computes exact reuse distances over one access stream of cache-line ids
-/// and accumulates them into \p H (Olken's algorithm: a last-access map
-/// plus a Fenwick tree over stream positions, O(n log n)).
-void reuseDistances(const std::vector<uint32_t> &Lines, ReuseHistogram &H);
-
-//===----------------------------------------------------------------------===//
 // Finalized per-invocation profiles
 //===----------------------------------------------------------------------===//
 
 /// How the interpreter dispatched one profiled loop invocation.
 enum class DispatchKind {
-  Serial,       ///< No plan: the loop is statically serial.
+  Serial,       ///< No plan (the loop is statically serial), or a
+                ///< plan-marked loop run serially by the race checker.
   SerialSmall,  ///< A plan exists but the profitability guard kept it serial.
   Parallel,     ///< Statically-certified parallel dispatch.
   CondParallel, ///< Runtime-conditional plan; inspection passed.
@@ -128,26 +67,6 @@ enum class DispatchKind {
 };
 
 const char *dispatchKindName(DispatchKind K);
-
-/// Cache-line telemetry for one array within one loop invocation.
-struct ArrayProfile {
-  std::string Name;
-  /// Estimated element reads/writes: sampled count scaled by the sample
-  /// period (exact when the period is 1).
-  uint64_t Reads = 0;
-  uint64_t Writes = 0;
-  uint64_t Sampled = 0;        ///< Accesses admitted to the line stream.
-  uint64_t SamplesDropped = 0; ///< Samples past the per-array cap.
-  /// Distinct cache lines among the sampled accesses (exact when the
-  /// sample period is 1).
-  uint64_t FootprintLines = 0;
-  ReuseHistogram Hist;
-  /// Per-worker sampled line streams awaiting the deferred reuse-distance
-  /// analysis (each worker models its own cache, so streams stay
-  /// separate). Consumed — and Hist filled — by
-  /// Session::finalizeAnalysis(); empty afterwards.
-  std::vector<std::vector<uint32_t>> PendingLines;
-};
 
 /// One chunk grant as seen by the profiler (times relative to loop entry).
 struct ChunkEvent {
@@ -175,7 +94,6 @@ struct LoopProfile {
   DispatchKind Kind = DispatchKind::Serial;
   std::string Detail; ///< Failing check, VM bailout, fault note, ...
                       ///< (may be empty).
-  std::string Engine = "interp"; ///< "interp" or "vm" (see LoopRecorder).
   int64_t Lo = 0, Up = 0, NIter = 0;
   unsigned Threads = 1;
   std::string Schedule;
@@ -184,7 +102,6 @@ struct LoopProfile {
   double RollbackUs = 0; ///< Fault-containment snapshot restore.
   double ReplayUs = 0;   ///< Serial replay after a rollback.
   PerfSample Perf;       ///< Valid only when hardware counters opened.
-  std::vector<ArrayProfile> Arrays;
   std::vector<WorkerTimeline> Workers;
 
   /// One JSON object (single line, no trailing newline) for JSONL output.
@@ -199,12 +116,9 @@ struct LoopHealth {
   unsigned Invocations = 0; ///< All invocations, including past the cap.
   unsigned Recorded = 0;    ///< Fully recorded invocations.
   unsigned ThreadsMax = 1;
-  double LocalityScore = 1.0;
   double ImbalancePct = 0;    ///< (sum max busy / sum avg busy - 1) * 100.
   double AnalysisPct = 0;     ///< Analysis tax share of loop wall time.
   double WallUs = 0;          ///< Total wall microseconds across invocations.
-  uint64_t FootprintLines = 0; ///< Max per-invocation total footprint.
-  uint64_t SampledAccesses = 0;
   /// Invocation counts by dispatch tier: static (parallel on a static
   /// proof, no inspection), conditional (inspector decided, pass or fail),
   /// serial (no plan, or the profitability guard kept a planned loop
@@ -225,76 +139,26 @@ struct LoopHealth {
 //===----------------------------------------------------------------------===//
 
 struct SessionOptions {
-  /// Admit one of every SamplePeriod element accesses (per worker, on
-  /// average — skips are jittered to defeat stride aliasing) to the
-  /// reuse-distance line stream. 1 records every access deterministically
-  /// (tests); the default keeps profiling overhead in single-digit
-  /// percent.
-  uint32_t SamplePeriod = 16;
-  /// Cap on sampled line-stream entries per (worker, array, invocation).
-  /// Streams are retained until the deferred reuse-distance analysis at
-  /// report time, so the cap bounds both the profiler's memory and the
-  /// report-time O(n log n) analysis cost.
-  size_t MaxSamplesPerArray = 1 << 13;
   /// Fully recorded invocations per loop label; later invocations are
-  /// counted (wall time, dispatch kind) but not sampled.
+  /// counted (wall time, dispatch kind) without a timeline.
   size_t MaxInvocationsPerLoop = 32;
   /// Cap on stored chunk events per worker per invocation.
   size_t MaxChunkEventsPerWorker = 64;
-  /// Cache-line size in bytes; elements are 8 bytes (int64/double).
-  unsigned LineBytes = 64;
   /// Attempt to open hardware counters (silently absent when unavailable).
   bool HardwareCounters = true;
 };
 
-/// The per-invocation recording object the interpreter writes into. Access
+/// The per-invocation recording object the interpreter writes into. Chunk
 /// notes go to per-worker slots, so parallel workers record without
 /// synchronization; the fork/join barrier publishes them to endLoop.
 class LoopRecorder {
 public:
-  /// True for a past-the-cap invocation: only wall time and dispatch kind
-  /// are kept, and the access/chunk hooks are no-ops.
-  bool light() const { return Light; }
-
   /// Microseconds since loop entry (timeline timebase).
   double nowUs() const { return Clock.seconds() * 1e6; }
 
-  /// Records one *sampled* element access to \p S at linear element
-  /// \p Elem of a buffer with \p BufElems elements, and returns how many
-  /// accesses the caller should skip before the next sample. The
-  /// interpreter keeps the skip countdown in its per-worker frame, so
-  /// the per-access cost of profiling is one pointer test plus one
-  /// decrement; only sampled accesses (1-in-Period on average) reach this
-  /// function and pay for counters, the footprint bitmap OR, and the
-  /// line-stream push. Skips are jittered uniformly in [1, 2*Period-1]
-  /// (mean Period), so strided access patterns cannot alias with the
-  /// sampling clock. Contract: callers route accesses here through a
-  /// pointer that is null for light invocations — no Light check needed.
-  uint32_t noteSampledAccess(const mf::Symbol *S, size_t Elem,
-                             size_t BufElems, bool IsWrite,
-                             unsigned Worker) {
-    WorkerRec &WR = Wrk[Worker < Wrk.size() ? Worker : 0];
-    if (WR.Arrays.empty())
-      WR.Arrays.resize(NumSymbols);
-    ArrayRec &A = WR.Arrays[S->id()];
-    if (!A.Sym) {
-      A.Sym = S;
-      A.LineBits.assign(((BufElems >> LineShift) >> 6) + 1, 0);
-    }
-    if (IsWrite)
-      ++A.Writes;
-    else
-      ++A.Reads;
-    size_t Line = Elem >> LineShift;
-    A.LineBits[Line >> 6] |= uint64_t(1) << (Line & 63);
-    if (A.Lines.size() < MaxSamples)
-      A.Lines.push_back(static_cast<uint32_t>(Line));
-    else
-      ++A.Dropped;
-    return nextSkip(WR);
-  }
-
-  /// Records one chunk grant executed by \p Worker.
+  /// Records one chunk grant executed by \p Worker. A no-op for a
+  /// past-the-cap (light) invocation, which keeps only wall time and
+  /// dispatch kind.
   void noteChunk(unsigned Worker, unsigned ChunkId, int64_t First,
                  int64_t Last, double StartUs, double DurUs) {
     if (Light)
@@ -319,11 +183,6 @@ public:
   /// Dispatch context, filled in by the interpreter as decisions fall.
   DispatchKind Kind = DispatchKind::Serial;
   std::string Detail;
-  /// Execution engine of the loop body: "vm" register bytecode for a
-  /// dispatched invocation, "interp" for one the tree walk ran serially.
-  /// VM loops have no AST frames, so this is how profiles stay
-  /// attributable to an engine.
-  std::string Engine = "interp";
   unsigned Threads = 1;
   std::string Schedule;
   double InspectUs = 0;
@@ -333,16 +192,7 @@ public:
 private:
   friend class Session;
 
-  struct ArrayRec {
-    const mf::Symbol *Sym = nullptr;
-    uint64_t Reads = 0, Writes = 0, Dropped = 0; ///< Sampled counts.
-    std::vector<uint64_t> LineBits; ///< Footprint bitmap over samples.
-    std::vector<uint32_t> Lines;    ///< Sampled line stream.
-  };
-
   struct WorkerRec {
-    uint32_t Rng = 0; ///< xorshift32 state for jittered sampling skips.
-    std::vector<ArrayRec> Arrays; ///< Indexed by symbol id; lazily sized.
     unsigned Chunks = 0;
     double BusyUs = 0;
     double FirstStartUs = -1;
@@ -352,28 +202,10 @@ private:
     unsigned EventsDropped = 0;
   };
 
-  /// Accesses to skip until the next sample: always 1 at period 1 (exact
-  /// recording for tests), otherwise uniform in [1, 2*Period-1] so the
-  /// sample stream is an unbiased 1-in-Period subsample on average.
-  uint32_t nextSkip(WorkerRec &WR) {
-    if (Period <= 1)
-      return 1;
-    uint32_t X = WR.Rng;
-    X ^= X << 13;
-    X ^= X >> 17;
-    X ^= X << 5;
-    WR.Rng = X;
-    return 1 + X % (2 * Period - 1);
-  }
-
   std::string Label;
   unsigned Invocation = 0;
   bool Light = false;
-  unsigned NumSymbols = 0;
-  uint32_t Period = 8;
-  size_t MaxSamples = 0;
   size_t MaxChunkEvents = 0;
-  unsigned LineShift = 3;
   int64_t Lo = 0, Up = 0, NIter = 0;
   Timer Clock;
   PerfSample PerfBegin;
@@ -404,43 +236,35 @@ public:
 
   /// Starts recording one invocation of the loop labeled \p Label. Returns
   /// a light recorder past the per-label invocation cap.
-  LoopRecorder *beginLoop(const std::string &Label, unsigned NumSymbols,
-                          unsigned MaxWorkers, int64_t Lo, int64_t Up,
-                          int64_t NIter);
+  LoopRecorder *beginLoop(const std::string &Label, unsigned MaxWorkers,
+                          int64_t Lo, int64_t Up, int64_t NIter);
 
-  /// Finalizes \p R (reuse histograms, timelines, counter deltas), stores
-  /// the profile, folds it into the label aggregate, emits trace counter
-  /// samples when tracing is on, and deletes the recorder.
+  /// Finalizes \p R (timelines, counter deltas), stores the profile, folds
+  /// it into the label aggregate, emits trace counter samples when tracing
+  /// is on, and deletes the recorder.
   void endLoop(LoopRecorder *R);
 
   /// Attributes a program-level analysis cost (pipeline, audit, ...) to
   /// the session; shows up as a "phase" JSONL record.
   void notePhase(const std::string &Name, double Seconds);
 
-  /// Runs the deferred reuse-distance analysis over every sampled line
-  /// stream still pending. endLoop defers this O(n log n) work so it does
-  /// not land inside the measured loop wall time; the report entry points
-  /// below call it automatically, and it is idempotent. Until it runs,
-  /// ArrayProfile::Hist and the per-label locality aggregates are empty.
-  void finalizeAnalysis();
-
-  /// Finalized invocations, in execution order. Reuse histograms are
-  /// filled in once finalizeAnalysis() (or any report method) has run.
+  /// Finalized invocations, in execution order.
   const std::vector<LoopProfile> &invocations() const { return Profiles; }
 
   /// Per-label health verdicts, sorted by label. \p Plans (optional)
   /// supplies the pipeline's "why" for each loop.
-  std::vector<LoopHealth> health(const xform::PipelineResult *Plans);
+  std::vector<LoopHealth> health(const xform::PipelineResult *Plans) const;
 
   /// Human-readable health report for terminals.
-  std::string healthText(const xform::PipelineResult *Plans);
+  std::string healthText(const xform::PipelineResult *Plans) const;
 
   /// The whole session as JSONL: a session header, phase records, one
   /// record per recorded invocation, then one health record per label.
-  std::string jsonl(const xform::PipelineResult *Plans);
+  std::string jsonl(const xform::PipelineResult *Plans) const;
 
   /// Writes jsonl() to \p Path; false on I/O failure.
-  bool writeJsonl(const std::string &Path, const xform::PipelineResult *Plans);
+  bool writeJsonl(const std::string &Path,
+                  const xform::PipelineResult *Plans) const;
 
 private:
   struct LabelAgg {
@@ -451,8 +275,6 @@ private:
     double AnalysisUs = 0;
     double MaxBusySumUs = 0; ///< Sum over invocations of max worker busy.
     double AvgBusySumUs = 0; ///< Sum over invocations of mean worker busy.
-    ReuseHistogram Hist;
-    uint64_t FootprintLines = 0;
     bool SawParallel = false, SawCondPass = false, SawCondFail = false,
          SawSerialSmall = false;
     /// Invocation counts by dispatch tier (static / conditional / serial /
@@ -462,13 +284,7 @@ private:
     std::string Detail;
   };
 
-  /// Deferred per-array analysis for one profile: computes each pending
-  /// stream's reuse histogram and folds it into the label aggregate.
-  /// No-op when the profile was already analyzed.
-  void analyzeArrays(LoopProfile &P, LabelAgg &Agg);
-
   SessionOptions Opts;
-  unsigned LineShift = 3;
   std::unique_ptr<PerfCounters> Perf; ///< Lazily opened on first beginLoop.
   bool PerfTried = false;
   std::vector<LoopProfile> Profiles;

@@ -14,7 +14,7 @@
 ///   | statistic counters       | static registry      | stat::Collector    |
 ///   | trace events             | process ring buffer  | trace::Buffer      |
 ///   | optimization remarks     | stdout / files       | RemarkSink         |
-///   | access profile           | caller's Session     | per-request        |
+///   | loop profile             | caller's Session     | per-request        |
 ///   | interpreter caches       | per-run Exec         | per-Interpreter    |
 ///   | compiled bytecode        | per-run Exec         | per-artifact store |
 ///

@@ -45,9 +45,24 @@ std::vector<Statistic *> sortedRegistry() {
   return Sorted;
 }
 
+/// The collector receiving this thread's increments, or null. It is
+/// file-local on purpose: an `extern thread_local` read from another
+/// translation unit goes through GCC's TLS wrapper, and under
+/// -fsanitize=undefined GCC 12 branches on the flags of an access the
+/// linker relaxes into a flag-free `lea`, so UBSan reports a null load at
+/// every increment. Reads here need no wrapper. Increments are per loop,
+/// query or parse, never per element, so the out-of-line call is free.
+thread_local Collector *TlsCollector = nullptr;
+
 } // namespace
 
-thread_local Collector *iaa::stat::detail::TlsCollector = nullptr;
+Collector *iaa::stat::currentCollector() { return TlsCollector; }
+
+CollectorScope::CollectorScope(Collector *C) : Prev(TlsCollector) {
+  TlsCollector = C;
+}
+
+CollectorScope::~CollectorScope() { TlsCollector = Prev; }
 
 void Collector::note(const Statistic *S, uint64_t N) {
   std::lock_guard<std::mutex> Lock(M);

@@ -76,14 +76,10 @@ private:
   std::unordered_map<const Statistic *, uint64_t> Counts;
 };
 
-namespace detail {
-/// The collector receiving this thread's increments, or null. Managed by
-/// CollectorScope; read inline on every increment (one TLS load).
-extern thread_local Collector *TlsCollector;
-} // namespace detail
-
-/// The collector installed on this thread, or null.
-inline Collector *currentCollector() { return detail::TlsCollector; }
+/// The collector installed on this thread, or null. The thread-local
+/// behind it is private to Statistic.cpp, which does every read and write
+/// (see there for why).
+Collector *currentCollector();
 
 /// RAII installation of a per-session collector on the current thread.
 /// Nests: the previous collector is restored on destruction. Installing
@@ -91,10 +87,8 @@ inline Collector *currentCollector() { return detail::TlsCollector; }
 /// which lets context propagation be unconditional.
 class CollectorScope {
 public:
-  explicit CollectorScope(Collector *C) : Prev(detail::TlsCollector) {
-    detail::TlsCollector = C;
-  }
-  ~CollectorScope() { detail::TlsCollector = Prev; }
+  explicit CollectorScope(Collector *C);
+  ~CollectorScope();
 
   CollectorScope(const CollectorScope &) = delete;
   CollectorScope &operator=(const CollectorScope &) = delete;
@@ -119,7 +113,7 @@ public:
   Statistic &operator++() { return *this += 1; }
   Statistic &operator+=(uint64_t N) {
     Count.fetch_add(N, std::memory_order_relaxed);
-    if (Collector *C = detail::TlsCollector)
+    if (Collector *C = currentCollector())
       C->note(this, N);
     return *this;
   }

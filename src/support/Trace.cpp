@@ -22,9 +22,12 @@ using namespace iaa::trace;
 IAA_STAT(trace_dropped, "Trace events discarded by the buffer cap");
 
 std::atomic<bool> iaa::trace::detail::Enabled{false};
-thread_local Buffer *iaa::trace::detail::TlsBuffer = nullptr;
 
 namespace {
+
+/// The buffer receiving this thread's spans, or null for the process-wide
+/// one. File-local for the reason given at Statistic.cpp's TlsCollector.
+thread_local Buffer *TlsBuffer = nullptr;
 
 using Clock = std::chrono::steady_clock;
 
@@ -163,11 +166,15 @@ Buffer &globalBuffer() {
 
 /// The buffer this thread's spans land in: the installed per-session one,
 /// else the process-wide one.
-Buffer &targetBuffer() {
-  return detail::TlsBuffer ? *detail::TlsBuffer : globalBuffer();
-}
+Buffer &targetBuffer() { return TlsBuffer ? *TlsBuffer : globalBuffer(); }
 
 } // namespace
+
+Buffer *iaa::trace::currentBuffer() { return TlsBuffer; }
+
+BufferScope::BufferScope(Buffer *B) : Prev(TlsBuffer) { TlsBuffer = B; }
+
+BufferScope::~BufferScope() { TlsBuffer = Prev; }
 
 void iaa::trace::enable(bool On) {
   detail::Enabled.store(On, std::memory_order_relaxed);

@@ -50,22 +50,21 @@ class Buffer;
 
 namespace detail {
 extern std::atomic<bool> Enabled;
-/// The buffer receiving this thread's spans, or null for the process-wide
-/// one. Managed by BufferScope.
-extern thread_local Buffer *TlsBuffer;
 } // namespace detail
 
 /// The per-session buffer installed on this thread, or null when spans go
-/// to the process-wide buffer.
-inline Buffer *currentBuffer() { return detail::TlsBuffer; }
+/// to the process-wide buffer. The thread-local behind it is private to
+/// Trace.cpp, which does every read and write (as Statistic.cpp does for
+/// its collector, and for the same reason).
+Buffer *currentBuffer();
 
 /// True when span collection is on: either globally (trace::enable) or
 /// because a per-session buffer is installed on this thread. One relaxed
-/// atomic load plus one TLS load — still the only cost instrumented code
-/// pays when tracing is disabled.
+/// atomic load plus one call — still the only cost instrumented code pays
+/// when tracing is disabled.
 inline bool enabled() {
   return detail::Enabled.load(std::memory_order_relaxed) ||
-         detail::TlsBuffer != nullptr;
+         currentBuffer() != nullptr;
 }
 
 /// Turns collection on or off. Enabling does not clear prior events.
@@ -163,10 +162,8 @@ private:
 /// context propagation be unconditional.
 class BufferScope {
 public:
-  explicit BufferScope(Buffer *B) : Prev(detail::TlsBuffer) {
-    detail::TlsBuffer = B;
-  }
-  ~BufferScope() { detail::TlsBuffer = Prev; }
+  explicit BufferScope(Buffer *B);
+  ~BufferScope();
 
   BufferScope(const BufferScope &) = delete;
   BufferScope &operator=(const BufferScope &) = delete;

@@ -8,7 +8,6 @@
 #include "vm/Vm.h"
 
 #include "mf/Stmt.h"
-#include "prof/Profiler.h"
 
 #include <algorithm>
 #include <cstring>
@@ -29,7 +28,6 @@ const char *const DeadlineDetail =
 struct ResolvedSlot {
   int64_t *I = nullptr;
   double *D = nullptr;
-  size_t Size = 0;
 };
 
 /// The per-chunk execution state. A plain struct (not the exported entry
@@ -57,7 +55,6 @@ struct Machine {
       ResolvedSlot R;
       R.I = B->I.data();
       R.D = B->D.data();
-      R.Size = B->size();
       Slots.push_back(R);
     }
   }
@@ -122,15 +119,6 @@ struct Machine {
   }
 
   void run() {
-    prof::LoopRecorder *Rec = C.Rec;
-    uint32_t LocalSkip = 1;
-    uint32_t &Skip = C.ProfSkip ? *C.ProfSkip : LocalSkip;
-    auto Sample = [&](uint16_t Slot, size_t Idx, bool IsWrite) {
-      if (Rec && --Skip == 0)
-        Skip = Rec->noteSampledAccess(Prog.Slots[Slot].Sym, Idx,
-                                      Slots[Slot].Size, IsWrite, C.Worker);
-    };
-
     // Deadline polls test the pointer first, so a run without a deadline
     // pays one predictable branch per poll.
     const CancelToken *Cancel = C.Cancel;
@@ -192,28 +180,24 @@ struct Machine {
         case Op::Ld1I: {
           int64_t Sub = RI[In.C];
           check1(Sub, In.B, In.Ctx);
-          Sample(In.B, size_t(Sub - 1), /*IsWrite=*/false);
           RI[In.A] = Slots[In.B].I[Sub - 1];
           break;
         }
         case Op::Ld1D: {
           int64_t Sub = RI[In.C];
           check1(Sub, In.B, In.Ctx);
-          Sample(In.B, size_t(Sub - 1), /*IsWrite=*/false);
           RD[In.A] = Slots[In.B].D[Sub - 1];
           break;
         }
         case Op::St1I: {
           int64_t Sub = RI[In.B];
           check1(Sub, In.A, In.Ctx);
-          Sample(In.A, size_t(Sub - 1), /*IsWrite=*/true);
           Slots[In.A].I[Sub - 1] = RI[In.C];
           break;
         }
         case Op::St1D: {
           int64_t Sub = RI[In.B];
           check1(Sub, In.A, In.Ctx);
-          Sample(In.A, size_t(Sub - 1), /*IsWrite=*/true);
           Slots[In.A].D[Sub - 1] = RD[In.C];
           break;
         }
@@ -225,7 +209,6 @@ struct Machine {
           check2(S1, S.Ext0, 1, In.B, In.Ctx);
           check2(S2, S.Ext1, 2, In.B, In.Ctx);
           size_t Idx = size_t(S1 - 1) * size_t(S.Ext1) + size_t(S2 - 1);
-          Sample(In.B, Idx, /*IsWrite=*/false);
           if (In.K == Op::Ld2I)
             RI[In.A] = Slots[In.B].I[Idx];
           else
@@ -239,7 +222,6 @@ struct Machine {
           check2(S1, S.Ext0, 1, In.A, In.Ctx);
           check2(S2, S.Ext1, 2, In.A, In.Ctx);
           size_t Idx = size_t(S1 - 1) * size_t(S.Ext1) + size_t(S2 - 1);
-          Sample(In.A, Idx, /*IsWrite=*/true);
           if (In.K == Op::St2I)
             Slots[In.A].I[Idx] = RI[In.D];
           else
@@ -251,10 +233,8 @@ struct Machine {
         case Op::GthD: {
           int64_t Sub = RI[In.C];
           check1(Sub, In.E, In.Ctx);
-          Sample(In.E, size_t(Sub - 1), /*IsWrite=*/false);
           int64_t DataSub = Slots[In.E].I[Sub - 1] + In.Imm;
           check1(DataSub, In.B, In.Ctx + 1);
-          Sample(In.B, size_t(DataSub - 1), /*IsWrite=*/false);
           if (In.K == Op::GthI)
             RI[In.A] = Slots[In.B].I[DataSub - 1];
           else
@@ -265,10 +245,8 @@ struct Machine {
         case Op::SctD: {
           int64_t Sub = RI[In.B];
           check1(Sub, In.E, In.Ctx);
-          Sample(In.E, size_t(Sub - 1), /*IsWrite=*/false);
           int64_t DataSub = Slots[In.E].I[Sub - 1] + In.Imm;
           check1(DataSub, In.A, In.Ctx + 1);
-          Sample(In.A, size_t(DataSub - 1), /*IsWrite=*/true);
           if (In.K == Op::SctI)
             Slots[In.A].I[DataSub - 1] = RI[In.C];
           else
@@ -279,11 +257,8 @@ struct Machine {
         case Op::SctAddD: {
           int64_t Sub = RI[In.B];
           check1(Sub, In.E, In.Ctx);
-          Sample(In.E, size_t(Sub - 1), /*IsWrite=*/false);
           int64_t DataSub = Slots[In.E].I[Sub - 1] + In.Imm;
           check1(DataSub, In.A, In.Ctx + 1);
-          Sample(In.A, size_t(DataSub - 1), /*IsWrite=*/false);
-          Sample(In.A, size_t(DataSub - 1), /*IsWrite=*/true);
           if (In.K == Op::SctAddI)
             Slots[In.A].I[DataSub - 1] += RI[In.C];
           else

@@ -29,16 +29,11 @@
 
 namespace iaa {
 
-namespace prof {
-class LoopRecorder;
-} // namespace prof
-
 namespace vm {
 
 /// Everything one chunk execution needs from the interpreter's dispatch
 /// context. Pointers alias interpreter-owned state; the VM only reads the
-/// configuration and writes through the resolved buffers (and the sampling
-/// countdown).
+/// configuration and writes through the resolved buffers.
 struct ChunkContext {
   interp::Memory *Mem = nullptr;
   /// The worker's privatization overrides (null when none).
@@ -51,10 +46,6 @@ struct ChunkContext {
   /// The run's deadline token (null without a deadline), polled at every
   /// outer iteration and loop back-edge, where the tree walk polls.
   const interp::CancelToken *Cancel = nullptr;
-  /// Profiling recorder (null when off/light) and the worker's sampling
-  /// countdown, kept across chunks like the interpreter's frame field.
-  prof::LoopRecorder *Rec = nullptr;
-  uint32_t *ProfSkip = nullptr;
 };
 
 /// Runs \p Prog for every iteration of the chunk described by \p C.

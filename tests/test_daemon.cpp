@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -347,6 +348,49 @@ TEST(DaemonProtocol, ResponsesEchoTheRequestId) {
   V = json::parse(Out);
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(V->member("id")->S, "7");
+}
+
+TEST(DaemonProtocol, ProfileReplyCarriesParsableJsonl) {
+  // A "profile": true run answers with the profiler's JSONL: every line
+  // parses, session, loop and health records are all present, and each
+  // health record's dispatch tiers sum to its invocations.
+  SessionHarness H;
+  Session S(H.env());
+  std::string Out = S.handleLine(
+      requestLine("p", "run", healthySource(), "\"profile\": true"));
+  std::optional<json::Value> V = json::parse(Out);
+  ASSERT_TRUE(V.has_value()) << Out;
+  ASSERT_NE(V->member("status"), nullptr) << Out;
+  EXPECT_EQ(V->member("status")->S, "ok") << Out;
+  const json::Value *Profile = V->member("profile_jsonl");
+  ASSERT_NE(Profile, nullptr) << Out;
+
+  std::set<std::string> Types;
+  size_t HealthRecords = 0;
+  std::istringstream Lines(Profile->S);
+  for (std::string Line; std::getline(Lines, Line);) {
+    std::optional<json::Value> R = json::parse(Line);
+    ASSERT_TRUE(R.has_value() && R->isObject()) << "unparsable: " << Line;
+    const json::Value *Type = R->member("type");
+    ASSERT_NE(Type, nullptr) << Line;
+    Types.insert(Type->S);
+    if (Type->S != "health")
+      continue;
+    ++HealthRecords;
+    const json::Value *Dispatch = R->member("dispatch");
+    const json::Value *Invocations = R->member("invocations");
+    ASSERT_NE(Dispatch, nullptr) << Line;
+    ASSERT_NE(Invocations, nullptr) << Line;
+    double Tiers = 0;
+    for (const char *Tier : {"static", "conditional", "serial", "replay"}) {
+      const json::Value *N = Dispatch->member(Tier);
+      ASSERT_NE(N, nullptr) << Tier << " in " << Line;
+      Tiers += N->N;
+    }
+    EXPECT_EQ(Tiers, Invocations->N) << Line;
+  }
+  EXPECT_EQ(Types, (std::set<std::string>{"session", "loop", "health"}));
+  EXPECT_EQ(HealthRecords, 2u) << "one per labeled loop (fill, sc)";
 }
 
 //===----------------------------------------------------------------------===//

@@ -608,7 +608,6 @@ TEST(FaultContain, ReplayedInvocationCountsOneTier) {
   EXPECT_EQ(Stats.DispatchConditional, 0u);
   EXPECT_EQ(Stats.DispatchSerial, 0u);
 
-  Prof.finalizeAnalysis();
   bool Saw = false;
   for (const prof::LoopHealth &LH : Prof.health(&H.Plan)) {
     EXPECT_EQ(LH.DispatchStatic + LH.DispatchConditional + LH.DispatchSerial +

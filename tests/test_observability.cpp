@@ -312,7 +312,7 @@ TEST(Observability, TraceBufferDropsOldestWhenCapped) {
   // Counter samples ('C' events) flow through the same capped buffer.
   trace::clear();
   trace::enable(true);
-  trace::counter("loop-locality demo", 0.75);
+  trace::counter("loop-wall-us demo", 0.75);
   trace::enable(false);
   Events = trace::events();
   ASSERT_EQ(Events.size(), 1u);

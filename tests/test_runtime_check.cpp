@@ -216,15 +216,13 @@ TEST(RuntimeCheckExec, PermutationRunsParallelBitIdentical) {
       ExecStats Stats = R.runChecked(&M, T, S);
       EXPECT_EQ(M.checksumExcluding(Dead), Want)
           << "schedule " << scheduleName(S) << ", T=" << T;
-      if (T > 1) {
-        EXPECT_EQ(Stats.RuntimeCheckFails, 0u)
-            << (Stats.RuntimeDecisions.empty()
-                    ? std::string()
-                    : Stats.RuntimeDecisions.front().str());
-        EXPECT_GE(Stats.InspectionsRun, 1u);
-        EXPECT_GE(Stats.ParallelLoopRuns, 1u)
-            << "passing inspection must license parallel dispatch";
-      }
+      EXPECT_EQ(Stats.RuntimeCheckFails, 0u)
+          << (Stats.RuntimeDecisions.empty()
+                  ? std::string()
+                  : Stats.RuntimeDecisions.front().str());
+      EXPECT_GE(Stats.InspectionsRun, 1u);
+      EXPECT_GE(Stats.ParallelLoopRuns, 1u)
+          << "passing inspection must license parallel dispatch";
     }
 }
 
@@ -239,9 +237,7 @@ TEST(RuntimeCheckExec, CcsRunsParallelBitIdentical) {
       ExecStats Stats = R.runChecked(&M, T, S);
       EXPECT_EQ(M.checksumExcluding(Dead), Want)
           << "schedule " << scheduleName(S) << ", T=" << T;
-      if (T > 1) {
-        EXPECT_EQ(Stats.RuntimeCheckFails, 0u);
-      }
+      EXPECT_EQ(Stats.RuntimeCheckFails, 0u);
     }
 }
 

@@ -15,7 +15,8 @@
 //         [--profile[=out.jsonl]]
 //
 //   --mode     pipeline configuration (default full)
-//   --run      execute the program (optionally in parallel with N threads)
+//   --run      execute the program serially, then with its parallel loops
+//              dispatched on N OS threads (1 to 256, default 4)
 //   --schedule loop scheduling policy for parallel runs (default static)
 //   --chunk    chunk size for the scheduler (default: policy-dependent)
 //   --engine   how dispatched loops run (default vm): vm compiles each
@@ -79,6 +80,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -161,9 +163,10 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--run=", 0) == 0) {
       Run = true;
       int64_t T = 0;
-      if (!parseInt(Arg.substr(6), T) || T <= 0 || T > 1024)
+      // N is a count of OS threads, so it gets the daemon's cap.
+      if (!parseInt(Arg.substr(6), T) || T <= 0 || T > 256)
         return badValue("--run", Arg.substr(6),
-                        "a thread count between 1 and 1024");
+                        "a thread count between 1 and 256");
       Threads = static_cast<unsigned>(T);
     } else if (Arg.rfind("--schedule=", 0) == 0) {
       if (!interp::parseSchedule(Arg.substr(11), Sched))
@@ -311,12 +314,27 @@ int main(int argc, char **argv) {
     }
   };
 
+  // One wall-clock deadline covers the whole execution phase (race check,
+  // serial and parallel runs), the same watchdog the daemon arms per
+  // request. The token is shared so a timer that fires during one run also
+  // cancels the next.
+  auto Cancel = std::make_shared<interp::CancelToken>();
+  std::optional<server::Watchdog> Watch;
+  std::optional<server::Watchdog::Scope> Deadline;
+  if (RaceCheck || Run) {
+    Watch.emplace();
+    Deadline.emplace(*Watch, static_cast<uint64_t>(DeadlineMs), Cancel);
+  }
+  size_t MemLimitBytes = static_cast<size_t>(MemLimitMb) << 20;
+
   if (RaceCheck) {
     interp::Interpreter I(*P);
     interp::ExecOptions Opts;
     Opts.Plans = &R;
     Opts.RaceCheck = true;
     Opts.OnFault = OnFault;
+    Opts.Cancel = Cancel.get();
+    Opts.MemLimitBytes = MemLimitBytes;
     interp::ExecStats CheckStats;
     I.run(Opts, &CheckStats);
     if (I.faultState().Faulted)
@@ -345,16 +363,6 @@ int main(int argc, char **argv) {
   }
 
   if (Run) {
-    // One wall-clock deadline covers the whole execution phase (serial +
-    // parallel), the same watchdog the daemon arms per request. The token
-    // is shared so a timer that fires during the serial run also cancels
-    // the parallel one.
-    auto Cancel = std::make_shared<interp::CancelToken>();
-    server::Watchdog Watch;
-    server::Watchdog::Scope Deadline(Watch, static_cast<uint64_t>(DeadlineMs),
-                                     Cancel);
-    size_t MemLimitBytes = static_cast<size_t>(MemLimitMb) << 20;
-
     interp::Interpreter I(*P);
     interp::ExecOptions Seq;
     Seq.OnFault = OnFault;
@@ -383,7 +391,6 @@ int main(int argc, char **argv) {
     Par.OnFault = OnFault;
     Par.Cancel = Cancel.get();
     Par.MemLimitBytes = MemLimitBytes;
-    Par.Simulate = true; // Works on any host core count.
     if (Profile)
       Par.Prof = &ProfSession;
     interp::ExecStats ParStats;
@@ -399,10 +406,11 @@ int main(int argc, char **argv) {
     if (ParFS.Faulted)
       return ReportFault("parallel run", ParFS);
     double ParallelLive = Parallel.checksumExcluding(Dead);
-    std::printf("parallel run (%u simulated processors, %s schedule): %.3fs "
+    std::printf("parallel run (%u thread%s, %s schedule): %.3fs "
                 "(speedup %.2f over the serial tree walk, engine and "
                 "parallel gain combined), checksum %.6f (%s)\n",
-                Threads, interp::scheduleName(Sched), ParStats.TotalSeconds,
+                Threads, Threads == 1 ? "" : "s",
+                interp::scheduleName(Sched), ParStats.TotalSeconds,
                 SeqStats.TotalSeconds / ParStats.TotalSeconds, ParallelLive,
                 SerialLive == ParallelLive ? "matches serial" : "DIVERGES");
     std::printf("engine (%s): %u loop%s compiled to bytecode, %u bailout%s "

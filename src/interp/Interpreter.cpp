@@ -33,6 +33,8 @@ using namespace iaa;
 using namespace iaa::interp;
 using namespace iaa::mf;
 
+// The interp, dispatch and vm groups are views of each run's ExecStats,
+// published once when the run ends (see publish below).
 #define IAA_STAT_GROUP "interp"
 IAA_STAT(interp_runs, "Interpreter runs");
 IAA_STAT(interp_parallel_loop_runs,
@@ -98,6 +100,36 @@ bool iaa::interp::parseEngine(const std::string &Name, ExecEngine &Out) {
 
 namespace {
 
+/// Publishes one run's counts. The interp, dispatch and vm statistics, the
+/// fault summary's counters and ExecStats' VM mirrors are views of the
+/// run's ExecStats, set here and nowhere else.
+void publish(ExecStats &S, FaultState &FS) {
+  S.VmParallelLoopRuns = S.ParallelLoopRuns;
+  S.VmChunksRun = S.ChunksRun;
+  // Every worker fault, plus the fault that ended the run, if one did.
+  FS.FaultsObserved = S.WorkerFaults + (FS.Faulted ? 1 : 0);
+  FS.Rollbacks = S.FaultRollbacks;
+  FS.Replays = S.FaultReplays;
+  FS.ReplaysRecovered = S.FaultReplaysRecovered;
+
+  ++interp_runs;
+  interp_parallel_loop_runs += S.ParallelLoopRuns;
+  interp_chunks_run += S.ChunksRun;
+  interp_inspections_run += S.InspectionsRun;
+  interp_inspections_cached += S.InspectionsCached;
+  interp_runtime_check_fails += S.RuntimeCheckFails;
+  interp_faults_trapped += FS.FaultsObserved;
+  interp_fault_rollbacks += S.FaultRollbacks;
+  interp_fault_replays += S.FaultReplays;
+  interp_fault_replays_recovered += S.FaultReplaysRecovered;
+  dispatch_static += S.DispatchStatic;
+  dispatch_conditional += S.DispatchConditional;
+  dispatch_serial += S.DispatchSerial;
+  dispatch_replay += S.DispatchReplay;
+  vm_loops_compiled += S.VmLoopsCompiled;
+  vm_bailouts += S.VmBailouts;
+}
+
 /// Raises a structured fault from a context with no frame (memory
 /// allocation, extent pre-computation). Loop/worker attribution is added by
 /// the framed overload inside Exec.
@@ -115,6 +147,11 @@ namespace {
   F.Bound = Bound;
   F.Detail = std::move(Detail);
   throw FaultException(std::move(F));
+}
+
+/// A loop's name in records and remarks: its label, or "<unlabeled>".
+std::string loopName(const DoStmt *DS) {
+  return DS->label().empty() ? "<unlabeled>" : DS->label();
 }
 
 /// A dynamically typed value.
@@ -361,8 +398,8 @@ namespace {
 class Exec {
 public:
   Exec(const Program &P, Memory &Mem, const ExecOptions &Opts,
-       ExecStats *Stats, FaultState &FS, RuntimeCaches &Caches)
-      : Prog(P), Mem(Mem), Opts(Opts), Stats(Stats), FS(FS), C(Caches),
+       ExecStats &Stats, RuntimeCaches &Caches)
+      : Prog(P), Mem(Mem), Opts(Opts), Stats(Stats), C(Caches),
         Cancel(Opts.Cancel) {
     // Pre-compute per-array dimension extents for subscript linearization.
     analysis::GlobalConstants Consts(P);
@@ -436,8 +473,7 @@ private:
     RF.Loc = Loc;
     RF.Range = SourceRange(Loc);
     if (F.CurLoop) {
-      RF.Loop = F.CurLoop->label().empty() ? "<unlabeled>"
-                                           : F.CurLoop->label();
+      RF.Loop = loopName(F.CurLoop);
       RF.HasIteration = true;
       RF.Iteration = F.CurIter;
     }
@@ -450,31 +486,6 @@ private:
     RF.Detail = std::move(Detail);
     throw FaultException(std::move(RF));
   }
-
-  /// RAII profiling scope for one labeled-loop invocation. Opens a
-  /// recorder in the session and finalizes it on destruction — so a fault
-  /// unwinding out of the loop still lands a complete record.
-  struct ProfScope {
-    prof::Session *S = nullptr;
-    prof::LoopRecorder *Rec = nullptr;
-
-    ProfScope(const ExecOptions &Opts, const Frame &F, const DoStmt *DS,
-              int64_t Lo, int64_t Up, int64_t NIter) {
-      if (!Opts.Prof || F.InReplay || DS->label().empty())
-        return;
-      S = Opts.Prof;
-      Rec = S->beginLoop(DS->label(), std::max(1u, Opts.Threads), Lo, Up,
-                         NIter);
-    }
-
-    ~ProfScope() {
-      if (Rec)
-        S->endLoop(Rec);
-    }
-
-    ProfScope(const ProfScope &) = delete;
-    ProfScope &operator=(const ProfScope &) = delete;
-  };
 
   /// Saves and restores a frame's loop-attribution context so each loop
   /// exit (normal or unwinding) re-exposes the enclosing loop's identity.
@@ -530,28 +541,20 @@ private:
     }
   };
 
-  /// Counts one invocation in a dispatch tier: the --stats counter and its
-  /// ExecStats mirror.
-  void countTier(stat::Statistic &Counter, unsigned ExecStats::*Field) {
-    ++Counter;
-    if (Stats)
-      ++(Stats->*Field);
-  }
-
   /// Appends one FaultReplay remark (capped at 64) recording a rolled-back
   /// parallel loop: the trapped fault and how the rollback resolved.
   void addFaultRemark(const DoStmt *DS, const RuntimeFault &Trapped,
                       const char *Outcome, const RuntimeFault *ReplayFault) {
-    if (!Stats || Stats->FaultRemarks.size() >= 64)
+    if (Stats.FaultRemarks.size() >= 64)
       return;
     Remark R;
-    R.Loop = DS->label().empty() ? "<unlabeled>" : DS->label();
+    R.Loop = loopName(DS);
     R.K = Remark::Kind::FaultReplay;
     R.Reason = Outcome;
     R.Evidence.emplace_back("fault", Trapped.str());
     if (ReplayFault)
       R.Evidence.emplace_back("replay-fault", ReplayFault->str());
-    Stats->FaultRemarks.push_back(std::move(R));
+    Stats.FaultRemarks.push_back(std::move(R));
   }
 
   /// Returns the bytecode compile result for \p DS, consulted only when the
@@ -574,17 +577,8 @@ private:
     // Count the outcome once per *session*, not once per store insert: with
     // a shared store the compile may have happened in another session, but
     // each session still reports every distinct loop it ran on the VM.
-    if (C.VmSeen.insert(DS).second) {
-      if (R.Ok) {
-        ++vm_loops_compiled;
-        if (Stats)
-          ++Stats->VmLoopsCompiled;
-      } else {
-        ++vm_bailouts;
-        if (Stats)
-          ++Stats->VmBailouts;
-      }
-    }
+    if (C.VmSeen.insert(DS).second)
+      ++(R.Ok ? Stats.VmLoopsCompiled : Stats.VmBailouts);
     return R;
   }
 
@@ -796,11 +790,9 @@ private:
 
   void recordRace(const ShadowMonitor &M, const Symbol *S, size_t Idx,
                   int64_t IterA, int64_t IterB, RaceKind K) {
-    if (!Stats)
-      return;
-    ++Stats->RacesFound;
-    if (Stats->Races.size() < 64)
-      Stats->Races.push_back({M.Label, S->name(), Idx, IterA, IterB, K});
+    ++Stats.RacesFound;
+    if (Stats.Races.size() < 64)
+      Stats.Races.push_back({M.Label, S->name(), Idx, IterA, IterB, K});
   }
 
   void noteRead(const Symbol *S, size_t Idx) {
@@ -857,7 +849,7 @@ private:
   void execDoShadow(const DoStmt *DS, const xform::LoopPlan *Plan, int64_t Lo,
                     int64_t Up, Frame &F) {
     ShadowMonitor M;
-    M.Label = DS->label().empty() ? "<unlabeled>" : DS->label();
+    M.Label = loopName(DS);
     M.FinalIter = Up;
     M.IgnoredScalars.insert(DS->indexVar()->id());
     for (const Symbol *S : Plan->PrivateScalars)
@@ -867,17 +859,9 @@ private:
     for (const Symbol *S : Plan->PrivateArrays)
       M.PrivateIds.insert(S->id());
 
-    LoopCtxGuard Ctx(F);
-    F.CurLoop = DS;
     Monitors.push_back(&M);
-    for (int64_t I = Lo; I <= Up; ++I) {
-      M.CurIter = I;
-      F.CurIter = I;
-      setScalar(DS->indexVar(), I);
-      execBody(DS->body(), F);
-    }
+    execSerial(DS, Lo, Up, /*Step=*/1, F, &M);
     Monitors.pop_back();
-    setScalar(DS->indexVar(), Up + 1);
 
     // Live-out privatized arrays: the writeback copies the final worker's
     // private buffer, so any element whose last write is not in the final
@@ -942,20 +926,98 @@ private:
   }
 
   /// Runs \p DS's iterations Lo, Lo+Step, ... through Up on the tree walk
-  /// and leaves the index variable one step past the last of them.
+  /// and leaves the index variable one step past the last of them. Under
+  /// the race checker \p M is the loop's shadow monitor, told each
+  /// iteration as it starts.
   void execSerial(const DoStmt *DS, int64_t Lo, int64_t Up, int64_t Step,
-                  Frame &F) {
+                  Frame &F, ShadowMonitor *M = nullptr) {
     LoopCtxGuard Ctx(F);
     F.CurLoop = DS;
     int64_t I = Lo;
     for (; Step > 0 ? I <= Up : I >= Up; I += Step) {
       F.CurIter = I;
+      if (M)
+        M->CurIter = I;
       checkCancel(DS->loc(), F);
       checkInjection(DS, I, F);
       setScalar(DS->indexVar(), I);
       execBody(DS->body(), F);
     }
     setScalar(DS->indexVar(), I);
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Loop invocations: execDo's four stages and the record they fill
+  //===--------------------------------------------------------------------===//
+
+  /// One loop invocation outside a serial replay. execDo's stages fill its
+  /// record and hand each other the rest; the destructor folds the record
+  /// into ExecStats and the profiler exactly once, so an invocation that a
+  /// fault unwinds through counts like any other.
+  struct Invocation {
+    Exec &E;
+    const DoStmt *DS;
+    int64_t Lo, Up, NIter;
+    /// The plan the loop runs under: its static plan, or its conditional
+    /// plan once the inspection passed.
+    const xform::LoopPlan *Plan = nullptr;
+    /// The plan-marked loop runs serially under the race checker.
+    bool Shadowed = false;
+    prof::InvocationRecord Rec;
+    prof::LoopRecorder *Prof = nullptr;
+    size_t EventCap = 0;    ///< Chunk events each worker keeps for Prof.
+    unsigned ChunksRun = 0; ///< Chunks the dispenser handed out.
+    /// A dispatch's transaction: the pre-dispatch snapshot of the loop's
+    /// MAY-write set, each worker's private copies, and the
+    /// first-fault-wins slot. Members are freed after the destructor's
+    /// fold, so the loop's seconds do not time their release.
+    std::vector<std::pair<const Symbol *, Buffer>> Snapshot;
+    std::vector<std::unordered_map<unsigned, Buffer>> Privates;
+    FaultSlot Faults;
+    double AdjustAtEntry;
+    Timer Clock;
+
+    Invocation(Exec &E, const DoStmt *DS, int64_t Lo, int64_t Up,
+               int64_t NIter)
+        : E(E), DS(DS), Lo(Lo), Up(Up), NIter(NIter),
+          AdjustAtEntry(E.VirtualAdjust) {
+      if (E.Opts.Prof && !DS->label().empty()) {
+        Prof = E.Opts.Prof->beginLoop(DS->label(), Lo, Up, NIter);
+        EventCap = Prof->chunkEventCap();
+      }
+    }
+    ~Invocation() { E.fold(*this); }
+
+    Invocation(const Invocation &) = delete;
+    Invocation &operator=(const Invocation &) = delete;
+  };
+
+  /// Counts one finished invocation: the only place a loop invocation's
+  /// tier, dispatch, chunks and seconds enter ExecStats or the profiler.
+  void fold(Invocation &Inv) {
+    prof::InvocationRecord &R = Inv.Rec;
+    R.WallSeconds = Inv.Clock.seconds();
+    static constexpr unsigned ExecStats::*TierCount[] = {
+        &ExecStats::DispatchStatic, &ExecStats::DispatchConditional,
+        &ExecStats::DispatchSerial, &ExecStats::DispatchReplay};
+    ++(Stats.*TierCount[static_cast<int>(prof::dispatchTier(R.Kind))]);
+    if (!R.Workers.empty()) {
+      ++Stats.ParallelLoopRuns;
+      Stats.ChunksRun += Inv.ChunksRun;
+    }
+    for (const prof::WorkerChunks &W : R.Workers) {
+      if (!W.Ran)
+        continue;
+      ++Stats.WorkersEngaged;
+      Stats.ChunkSecondsSum += W.BusySeconds;
+      Stats.ChunkSecondsMax = std::max(Stats.ChunkSecondsMax,
+                                       W.MaxChunkSeconds);
+    }
+    if (!Inv.DS->label().empty())
+      Stats.LoopSeconds[Inv.DS->label()] +=
+          R.WallSeconds - (VirtualAdjust - Inv.AdjustAtEntry);
+    if (Inv.Prof)
+      Opts.Prof->endLoop(Inv.Prof, R);
   }
 
   void execDo(const DoStmt *DS, Frame &F) {
@@ -971,402 +1033,341 @@ private:
     // profiling record (attributed as a replay), so nested loops executed
     // during the replay must not re-time, re-count, re-profile, re-inspect
     // — or re-fork; the replay's contract is faithful serial re-execution.
-    bool Timed = !DS->label().empty() && Stats && !F.InReplay;
-    Timer LoopTimer;
-    double AdjustAtEntry = VirtualAdjust;
-    auto AddLoopSeconds = [&] {
-      if (Timed)
-        Stats->LoopSeconds[DS->label()] +=
-            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
-    };
-
-    const xform::LoopPlan *Plan = nullptr;
-    if (!F.InReplay && Opts.Plans && Step == 1)
-      Plan = Opts.Plans->planFor(DS);
-    int64_t NIter = Step > 0 ? (Up - Lo) / Step + 1 : (Lo - Up) / (-Step) + 1;
-    if (NIter < 0)
-      NIter = 0;
-
-    // Profiling scope for labeled loops outside a replay: opens a recorder
-    // in the session, finalized (even on unwinding) at scope exit.
-    ProfScope PS(Opts, F, DS, Lo, Up, NIter);
-    prof::LoopRecorder *Rec = PS.Rec;
-
-    // Inspector/executor: a statically-serial loop carrying a
-    // runtime-conditional plan is inspected before its first execution and
-    // dispatched only when every check passes against the actual
-    // index-array contents; a failed (or structurally impossible)
-    // inspection falls through to the serial path below, which is always
-    // sound. Race checking deliberately skips conditional plans — they are
-    // not parallel-marked, so there is no certification to validate.
-    bool CondInspected = false;
-    std::string CondDetail;
-    if (!Plan && !F.InReplay && Opts.RuntimeChecks && !Opts.RaceCheck &&
-        Opts.Plans && Step == 1 && NIter >= 2) {
-      if (const xform::LoopPlan *Cond = Opts.Plans->conditionalPlanFor(DS))
-        if (satMul(NIter, bodyWeight(DS)) >= Opts.MinParallelWork) {
-          Timer InspectTimer;
-          CondInspected = true;
-          bool Pass = inspectionPasses(DS, *Cond, Lo, Up, &CondDetail);
-          if (Rec)
-            Rec->InspectUs += InspectTimer.seconds() * 1e6;
-          if (Pass)
-            Plan = Cond;
-        }
+    if (F.InReplay) {
+      execSerial(DS, Lo, Up, Step, F);
+      return;
     }
+
+    int64_t NIter = Step > 0 ? (Up - Lo) / Step + 1 : (Lo - Up) / (-Step) + 1;
+    Invocation Inv(*this, DS, Lo, Up, std::max<int64_t>(NIter, 0));
+    const vm::LoopProgram *VmProg = decide(Inv, Step);
+    if (!VmProg) {
+      if (Inv.Shadowed)
+        execDoShadow(DS, Inv.Plan, Lo, Up, F);
+      else
+        execSerial(DS, Lo, Up, Step, F);
+      return;
+    }
+
+    trace::TraceScope Span("parallel-loop", "interp");
+    Span.arg("loop", loopName(DS));
+    Span.arg("threads", std::to_string(Inv.Rec.Threads));
+    Span.arg("schedule", Inv.Rec.Schedule);
+    dispatch(Inv, *VmProg);
+    if (Inv.Faults.Count.load(std::memory_order_relaxed)) {
+      rollBack(Inv, F);
+      return;
+    }
+    commit(Inv, F);
+  }
+
+  /// Stage 1, the dispatch decision: plan, runtime-check inspection,
+  /// profitability and VM compile. Returns the bytecode to dispatch, or
+  /// null when the invocation runs serially; either way Inv.Rec holds the
+  /// dispatch kind and why.
+  const vm::LoopProgram *decide(Invocation &Inv, int64_t Step) {
+    if (!Opts.Plans || Step != 1)
+      return nullptr;
+    const DoStmt *DS = Inv.DS;
+    prof::InvocationRecord &R = Inv.Rec;
+    auto WorthForking = [&] {
+      return Inv.NIter >= 2 &&
+             satMul(Inv.NIter, bodyWeight(DS)) >= Opts.MinParallelWork;
+    };
+    Inv.Plan = Opts.Plans->planFor(DS);
 
     // Race checking replaces parallel execution: the plan-marked loop runs
     // serially under shadow tags, bypassing the profitability guard so
     // every certified plan is checked regardless of size. It forks
-    // nothing, so it counts in the serial tier, as the recorder's default
-    // kind does.
-    if (Plan && Opts.RaceCheck && NIter >= 2) {
-      countTier(dispatch_serial, &ExecStats::DispatchSerial);
-      if (Rec)
-        Rec->Detail = "race-check: plan-marked loop forced serial";
-      execDoShadow(DS, Plan, Lo, Up, F);
-      AddLoopSeconds();
-      return;
+    // nothing, so it stays in the serial tier.
+    if (Inv.Plan && Opts.RaceCheck && Inv.NIter >= 2) {
+      Inv.Shadowed = true;
+      R.Detail = "race-check: plan-marked loop forced serial";
+      return nullptr;
+    }
+
+    // Inspector/executor: a statically-serial loop carrying a
+    // runtime-conditional plan is inspected before its first execution and
+    // dispatched only when every check passes against the actual
+    // index-array contents; a failed inspection runs serially, which is
+    // always sound. Race checking skips conditional plans — they are not
+    // parallel-marked, so there is no certification to validate.
+    bool Inspected = false;
+    if (!Inv.Plan && Opts.RuntimeChecks && !Opts.RaceCheck)
+      if (const xform::LoopPlan *Cond = Opts.Plans->conditionalPlanFor(DS))
+        if (WorthForking()) {
+          Inspected = true;
+          Timer InspectTimer;
+          if (inspectionPasses(DS, *Cond, Inv.Lo, Inv.Up, &R.Detail))
+            Inv.Plan = Cond;
+          R.InspectSeconds = InspectTimer.seconds();
+          R.Kind = prof::DispatchKind::CondSerial;
+        }
+    if (!Inv.Plan)
+      return nullptr;
+    if (!Inspected && !WorthForking()) {
+      R.Kind = prof::DispatchKind::SerialSmall;
+      R.Detail = "below the parallel profitability threshold";
+      return nullptr;
     }
 
     // A plan-marked loop worth forking dispatches on the VM at any thread
     // count. The compiler is consulted only here, so a bailout runs the
     // loop serially, in the tier it would have had, with the compiler's
     // reason as its dispatch detail.
-    const vm::CompileResult *Compiled = nullptr;
-    if (Plan && NIter >= 2 &&
-        satMul(NIter, bodyWeight(DS)) >= Opts.MinParallelWork)
-      Compiled = &vmProgramFor(DS, Plan);
-    if (!Compiled || !Compiled->Ok) {
-      if (!F.InReplay) {
-        if (CondInspected)
-          countTier(dispatch_conditional, &ExecStats::DispatchConditional);
-        else
-          countTier(dispatch_serial, &ExecStats::DispatchSerial);
-      }
-      if (Rec) {
-        if (Compiled) {
-          Rec->Kind = CondInspected ? prof::DispatchKind::CondSerial
-                                    : prof::DispatchKind::Serial;
-          Rec->Detail = "vm bailout: " + Compiled->Bailout;
-        } else if (CondInspected) {
-          // A passed inspection with a sufficient trip count dispatches,
-          // so reaching here without a compile result means it failed.
-          Rec->Kind = prof::DispatchKind::CondSerial;
-          Rec->Detail = CondDetail;
-        } else if (Plan) {
-          Rec->Kind = prof::DispatchKind::SerialSmall;
-          Rec->Detail = "below the parallel profitability threshold";
-        }
-      }
-      execSerial(DS, Lo, Up, Step, F);
-      AddLoopSeconds();
-      return;
+    const vm::CompileResult &Compiled = vmProgramFor(DS, Inv.Plan);
+    if (!Compiled.Ok) {
+      R.Kind = Inspected ? prof::DispatchKind::CondSerial
+                         : prof::DispatchKind::Serial;
+      R.Detail = "vm bailout: " + Compiled.Bailout;
+      return nullptr;
     }
-    const vm::LoopProgram &VmProg = Compiled->Prog;
+    R.Kind = Inspected ? prof::DispatchKind::CondParallel
+                       : prof::DispatchKind::Parallel;
+    R.Threads = static_cast<unsigned>(
+        std::min<int64_t>(std::max(1u, Opts.Threads), Inv.NIter));
+    R.Schedule = scheduleName(Opts.Sched);
+    return &Compiled.Prog;
+  }
 
-    // --- Dispatch.
-    // Tier accounting is deferred until the invocation's outcome is known:
-    // a dispatch that faults and is serially replayed belongs to the
-    // replay tier, not its original tier — one tier per invocation
-    // (Statistic has no decrement, so count late rather than retract).
-    // Every exit below calls this exactly once.
-    auto CountDispatch = [&](bool Replayed) {
-      if (Replayed)
-        countTier(dispatch_replay, &ExecStats::DispatchReplay);
-      else if (CondInspected)
-        countTier(dispatch_conditional, &ExecStats::DispatchConditional);
-      else
-        countTier(dispatch_static, &ExecStats::DispatchStatic);
-    };
-    ++interp_parallel_loop_runs;
-    if (Stats) {
-      ++Stats->ParallelLoopRuns;
-      ++Stats->VmParallelLoopRuns;
-    }
-    auto T = static_cast<unsigned>(
-        std::min<int64_t>(std::max(1u, Opts.Threads), NIter));
-
-    if (Rec) {
-      Rec->Kind = CondInspected ? prof::DispatchKind::CondParallel
-                                : prof::DispatchKind::Parallel;
-      Rec->Threads = T;
-      Rec->Schedule = scheduleName(Opts.Sched);
-    }
-
-    trace::TraceScope ParSpan("parallel-loop", "interp");
-    ParSpan.arg("loop", DS->label().empty() ? "<unlabeled>" : DS->label());
-    ParSpan.arg("threads", std::to_string(T));
-    ParSpan.arg("schedule", scheduleName(Opts.Sched));
-
-    // Everything below is per-*worker-that-ran-iterations*: private copies
-    // are built on a worker's first dispensed chunk, reduction partials are
-    // merged only from workers that ran, and the last value comes from the
-    // worker that executed the final iteration — an idle worker (empty
-    // static chunk, or starved by the dynamic dispenser) contributes
-    // nothing and can never corrupt post-loop state.
-    struct WorkerState {
-      std::unordered_map<unsigned, Buffer> Overrides;
-      bool Ran = false;
-      int64_t LastIter = 0; ///< Highest iteration executed: the end of
-                            ///< the worker's latest chunk (valid if Ran).
-      unsigned Chunks = 0;
-      double SecondsSum = 0;
-      double SecondsMax = 0;
-    };
-    std::vector<WorkerState> Workers(T);
-
-    auto BuildPrivates = [&](unsigned W) {
-      auto &Map = Workers[W].Overrides;
-      auto AddPrivate = [&](const Symbol *S) {
-        Map.emplace(S->id(), Mem.buffer(S)); // Copy-in.
-      };
-      AddPrivate(DS->indexVar());
-      for (const Symbol *S : Plan->PrivateScalars)
-        AddPrivate(S);
-      for (const Symbol *S : Plan->PrivateArrays)
-        AddPrivate(S);
-      for (const Symbol *S : Plan->Reductions) {
-        Buffer Zero = Mem.buffer(S);
-        if (Zero.Kind == ScalarKind::Int)
-          Zero.I.assign(Zero.I.size(), 0);
-        else
-          Zero.D.assign(Zero.D.size(), 0.0);
-        Map.emplace(S->id(), std::move(Zero));
-      }
-    };
+  /// Stage 2, the dispatch: open the transaction by snapshotting the
+  /// loop's MAY-write set, then run the chunk loop, threaded or simulated,
+  /// with every chunk as bytecode. A worker fault is trapped into
+  /// Inv.Faults and cancels the dispenser, so siblings drain at chunk
+  /// granularity instead of racing a dying loop.
+  void dispatch(Invocation &Inv, const vm::LoopProgram &VmProg) {
+    unsigned T = Inv.Rec.Threads;
+    Inv.Rec.Workers.resize(T);
+    Inv.Privates.resize(T);
 
     // Fault containment: under Report/Replay the dispatch is a transaction.
     // Snapshot every buffer the loop MAY write (the conservative
     // SymbolUses-derived write set — sound even when the plan under test
     // was mutated) so a trapped worker fault can roll the loop back to its
     // pre-dispatch state. Abort keeps the legacy no-snapshot semantics.
-    const bool Transactional = Opts.OnFault != FaultAction::Abort;
-    std::vector<std::pair<const Symbol *, Buffer>> Snapshot;
-    if (Transactional)
-      for (const Symbol *S : loopWriteSet(DS))
-        Snapshot.emplace_back(S, Mem.buffer(S));
-    FaultSlot Faults;
+    if (Opts.OnFault != FaultAction::Abort)
+      for (const Symbol *S : loopWriteSet(Inv.DS))
+        Inv.Snapshot.emplace_back(S, Mem.buffer(S));
 
-    ChunkDispenser Disp(Lo, Up, T, Opts.Sched, Opts.ChunkSize);
-
-    // Runs one dispensed chunk on worker W as bytecode; returns its seconds
-    // (including the first chunk's private-copy construction — it
-    // parallelizes too). Each worker touches only its own WorkerState slot,
-    // so the threaded path needs no synchronization beyond the dispenser
-    // and the join.
-    auto RunChunk = [&](unsigned W, int64_t First, int64_t Last,
-                        unsigned ChunkId) {
-      trace::TraceScope ChunkSpan("chunk", "interp");
-      double ProfStartUs = Rec ? Rec->nowUs() : 0.0;
-      Timer CT;
-      WorkerState &WS = Workers[W];
-      if (!WS.Ran) {
-        BuildPrivates(W);
-        WS.Ran = true;
-      }
-      vm::ChunkContext VC;
-      VC.Mem = &Mem;
-      VC.Overrides = &WS.Overrides;
-      VC.First = First;
-      VC.Last = Last;
-      VC.Worker = W;
-      VC.Injector = Opts.Injector;
-      VC.Cancel = Cancel;
-      vm::runChunk(VmProg, VC);
-      double Secs = CT.seconds();
-      if (Rec)
-        Rec->noteChunk(W, ChunkId, First, Last, ProfStartUs, Secs * 1e6);
-      WS.LastIter = Last;
-      ++WS.Chunks;
-      WS.SecondsSum += Secs;
-      WS.SecondsMax = std::max(WS.SecondsMax, Secs);
-      if (ChunkSpan.active()) {
-        ChunkSpan.arg("worker", std::to_string(W));
-        ChunkSpan.arg("chunk", std::to_string(ChunkId));
-        ChunkSpan.arg("schedule", scheduleName(Opts.Sched));
-        ChunkSpan.arg("first", std::to_string(First));
-        ChunkSpan.arg("last", std::to_string(Last));
-      }
-      return Secs;
-    };
-
+    ChunkDispenser Disp(Inv.Lo, Inv.Up, T, Opts.Sched, Opts.ChunkSize);
     if (Opts.Simulate) {
-      // Model the same schedule the threaded path would run: greedy list
-      // scheduling on per-worker virtual clocks — the next chunk goes to
-      // the worker whose clock is lowest, exactly how a free thread is the
-      // one that grabs from the dispenser. The loop's virtual cost is the
-      // busiest worker's clock plus the fork/join overhead model.
-      std::vector<double> Clock(T, 0.0);
-      std::vector<bool> Done(T, false);
-      while (true) {
-        unsigned W = T;
-        for (unsigned C = 0; C < T; ++C)
-          if (!Done[C] && (W == T || Clock[C] < Clock[W]))
-            W = C;
-        if (W == T)
-          break;
-        int64_t First, Last;
-        unsigned ChunkId;
-        if (!Disp.next(W, First, Last, ChunkId)) {
-          Done[W] = true;
-          continue;
-        }
-        // Simulated workers fault exactly like threaded ones: trap,
-        // publish first-fault-wins, cancel the dispenser.
-        try {
-          Clock[W] += RunChunk(W, First, Last, ChunkId);
-        } catch (FaultException &FE) {
-          Faults.record(std::move(FE.Fault));
-          Disp.cancel();
-        }
-      }
-      double SumChunks = 0, MaxClock = 0;
-      for (unsigned W = 0; W < T; ++W) {
-        SumChunks += Clock[W];
-        MaxClock = std::max(MaxClock, Clock[W]);
-      }
-      // One worker runs inline and forks nothing, as WorkerPool::run(1)
-      // does on the threaded path, so it pays no fork/join overhead.
-      double Overhead = T > 1 ? Opts.ForkAlpha + Opts.ForkBeta * T : 0.0;
-      VirtualAdjust += SumChunks - (MaxClock + Overhead);
+      runSimulated(Inv, VmProg, Disp);
     } else {
       poolFor(T)->run(T, [&](unsigned W) {
         // Nothing may escape this lambda: an exception crossing into
         // WorkerPool::workerLoop would std::terminate the process. A
         // structured fault is trapped and published first-fault-wins;
-        // anything else becomes an Internal fault. Either way the
-        // dispenser is cancelled so sibling workers drain at chunk
-        // granularity instead of racing a dying loop.
+        // anything else becomes an Internal fault.
         int64_t First, Last;
         unsigned ChunkId;
         try {
           while (Disp.next(W, First, Last, ChunkId))
-            RunChunk(W, First, Last, ChunkId);
+            runChunk(Inv, VmProg, W, First, Last, ChunkId);
         } catch (FaultException &FE) {
-          Faults.record(std::move(FE.Fault));
+          Inv.Faults.record(std::move(FE.Fault));
           Disp.cancel();
         } catch (const std::exception &Ex) {
           RuntimeFault RF;
           RF.Kind = FaultKind::Internal;
-          RF.Loop = DS->label().empty() ? "<unlabeled>" : DS->label();
+          RF.Loop = loopName(Inv.DS);
           RF.Worker = W;
           RF.InParallel = true;
           RF.Detail = Ex.what();
-          Faults.record(std::move(RF));
+          Inv.Faults.record(std::move(RF));
           Disp.cancel();
         }
       });
     }
+    Inv.ChunksRun = Disp.chunksDispensed();
+  }
 
-    unsigned ChunksRun = Disp.chunksDispensed();
-    interp_chunks_run += ChunksRun;
-    if (Stats) {
-      Stats->ChunksRun += ChunksRun;
-      Stats->VmChunksRun += ChunksRun;
-      for (const WorkerState &WS : Workers) {
-        if (!WS.Ran)
-          continue;
-        ++Stats->WorkersEngaged;
-        Stats->ChunkSecondsSum += WS.SecondsSum;
-        Stats->ChunkSecondsMax = std::max(Stats->ChunkSecondsMax,
-                                          WS.SecondsMax);
+  /// Stage 2's simulated chunk loop. It models the schedule the threaded
+  /// path would run by greedy list scheduling on per-worker virtual clocks:
+  /// the next chunk goes to the worker whose clock is lowest, exactly how a
+  /// free thread is the one that grabs from the dispenser. The loop's
+  /// virtual cost is the busiest worker's clock plus the fork/join overhead
+  /// model.
+  void runSimulated(Invocation &Inv, const vm::LoopProgram &VmProg,
+                    ChunkDispenser &Disp) {
+    unsigned T = Inv.Rec.Threads;
+    std::vector<double> Clock(T, 0.0);
+    std::vector<bool> Done(T, false);
+    while (true) {
+      unsigned W = T;
+      for (unsigned C = 0; C < T; ++C)
+        if (!Done[C] && (W == T || Clock[C] < Clock[W]))
+          W = C;
+      if (W == T)
+        break;
+      int64_t First, Last;
+      unsigned ChunkId;
+      if (!Disp.next(W, First, Last, ChunkId)) {
+        Done[W] = true;
+        continue;
       }
-    }
-
-    // A worker faulted: the torn parallel state must not be merged.
-    if (unsigned NFaults = Faults.Count.load(std::memory_order_relaxed)) {
-      interp_faults_trapped += NFaults;
-      FS.FaultsObserved += NFaults;
-      if (Stats)
-        Stats->WorkerFaults += NFaults;
-      RuntimeFault First = std::move(*Faults.First);
-      if (!Transactional) {
-        // Abort: no snapshot exists, shared state is possibly torn.
-        // Propagate and let the driver decide whether to kill the process.
-        CountDispatch(false);
-        throw FaultException(std::move(First));
-      }
-
-      // Roll the transaction back: restore every MAY-written buffer,
-      // version counter included. The restored bytes are exactly the
-      // pre-loop bytes, so inspector verdicts cached against the snapshot
-      // version are still valid — bumping the version here would
-      // spuriously re-run inspections after every recovered fault.
-      Timer RollbackTimer;
-      for (auto &[S, Buf] : Snapshot) {
-        uint64_t V = Buf.Version;
-        Mem.buffer(S) = std::move(Buf);
-        Mem.buffer(S).Version = V;
-      }
-      if (Rec)
-        Rec->RollbackUs += RollbackTimer.seconds() * 1e6;
-      ++FS.Rollbacks;
-      ++interp_fault_rollbacks;
-      if (Stats)
-        ++Stats->FaultRollbacks;
-
-      // Resource-limit faults (deadline, memory budget) are never replayed,
-      // whatever the policy: serially re-running the loop cannot un-blow a
-      // budget — it would just burn the daemon's wall clock a second time.
-      // Rollback-and-report preserves the transactional guarantee.
-      if (Opts.OnFault == FaultAction::Report ||
-          faultIsResourceLimit(First.Kind)) {
-        if (Rec)
-          Rec->Detail = "worker fault: rolled back, reported";
-        addFaultRemark(DS, First, "rolled back, reported", nullptr);
-        CountDispatch(false);
-        throw FaultException(std::move(First));
-      }
-
-      // Replay: serial tree-walk re-execution of the rolled-back loop. It
-      // either reproduces the fault with exact serial attribution, or
-      // completes correctly — proving the fault an artifact of the dispatch
-      // (e.g. damage done by a mis-certified plan, or an injected
-      // parallel-only fault).
-      ++FS.Replays;
-      ++interp_fault_replays;
-      if (Stats)
-        ++Stats->FaultReplays;
-      // One invocation, one tier: the faulted dispatch is subsumed by the
-      // replay — counting it in its original tier too would inflate the
-      // health-report dispatch totals past the invocation count.
-      CountDispatch(/*Replayed=*/true);
-      if (Rec)
-        Rec->Kind = prof::DispatchKind::Replay;
-      Frame FR = F;
-      FR.InReplay = true;
-      Timer ReplayTimer;
+      // Simulated workers fault exactly like threaded ones: trap, publish
+      // first-fault-wins, cancel the dispenser.
       try {
-        execSerial(DS, Lo, Up, Step, FR);
+        Clock[W] += runChunk(Inv, VmProg, W, First, Last, ChunkId);
       } catch (FaultException &FE) {
-        if (Rec) {
-          Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
-          Rec->Detail = "worker fault: replay reproduced the fault";
-        }
-        addFaultRemark(DS, First, "replay reproduced the fault", &FE.Fault);
-        throw;
+        Inv.Faults.record(std::move(FE.Fault));
+        Disp.cancel();
       }
-      if (Rec) {
-        Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
-        Rec->Detail = "worker fault: replay recovered";
-      }
-      ++FS.ReplaysRecovered;
-      ++interp_fault_replays_recovered;
-      addFaultRemark(DS, First, "replay recovered", nullptr);
-      AddLoopSeconds();
-      return;
+    }
+    double SumChunks = 0, MaxClock = 0;
+    for (unsigned W = 0; W < T; ++W) {
+      SumChunks += Clock[W];
+      MaxClock = std::max(MaxClock, Clock[W]);
+    }
+    // One worker runs inline and forks nothing, as WorkerPool::run(1) does
+    // on the threaded path, so it pays no fork/join overhead.
+    double Overhead = T > 1 ? Opts.ForkAlpha + Opts.ForkBeta * T : 0.0;
+    VirtualAdjust += SumChunks - (MaxClock + Overhead);
+  }
+
+  /// Runs one dispensed chunk on worker \p W as bytecode and notes it in
+  /// the worker's summary; returns its seconds, including the first
+  /// chunk's private-copy construction (it parallelizes too). Each worker
+  /// touches only its own slots, so the threaded path needs no
+  /// synchronization beyond the dispenser and the join.
+  double runChunk(Invocation &Inv, const vm::LoopProgram &VmProg, unsigned W,
+                  int64_t First, int64_t Last, unsigned ChunkId) {
+    trace::TraceScope ChunkSpan("chunk", "interp");
+    prof::WorkerChunks &WC = Inv.Rec.Workers[W];
+    double Start = Inv.Clock.seconds();
+    Timer CT;
+    if (!WC.Ran) {
+      buildPrivates(*Inv.Plan, Inv.DS, Inv.Privates[W]);
+      WC.Ran = true;
+      WC.FirstStartSeconds = Start;
+    }
+    vm::ChunkContext VC;
+    VC.Mem = &Mem;
+    VC.Overrides = &Inv.Privates[W];
+    VC.First = First;
+    VC.Last = Last;
+    VC.Worker = W;
+    VC.Injector = Opts.Injector;
+    VC.Cancel = Cancel;
+    vm::runChunk(VmProg, VC);
+    double Secs = CT.seconds();
+    if (WC.Chunks++ == 0)
+      WC.FirstIter = First;
+    WC.LastIter = Last;
+    WC.BusySeconds += Secs;
+    WC.MaxChunkSeconds = std::max(WC.MaxChunkSeconds, Secs);
+    if (WC.Events.size() < Inv.EventCap)
+      WC.Events.push_back({ChunkId, First, Last, Start * 1e6, Secs * 1e6});
+    else if (Inv.EventCap)
+      ++WC.EventsDropped;
+    if (ChunkSpan.active()) {
+      ChunkSpan.arg("worker", std::to_string(W));
+      ChunkSpan.arg("chunk", std::to_string(ChunkId));
+      ChunkSpan.arg("schedule", Inv.Rec.Schedule);
+      ChunkSpan.arg("first", std::to_string(First));
+      ChunkSpan.arg("last", std::to_string(Last));
+    }
+    return Secs;
+  }
+
+  /// A worker's private copies, built on its first dispensed chunk: the
+  /// index variable, private scalars and arrays copied in, reductions
+  /// zeroed. A worker that never runs a chunk builds none, so an idle
+  /// worker can never corrupt post-loop state.
+  void buildPrivates(const xform::LoopPlan &Plan, const DoStmt *DS,
+                     std::unordered_map<unsigned, Buffer> &Map) {
+    auto AddPrivate = [&](const Symbol *S) {
+      Map.emplace(S->id(), Mem.buffer(S)); // Copy-in.
+    };
+    AddPrivate(DS->indexVar());
+    for (const Symbol *S : Plan.PrivateScalars)
+      AddPrivate(S);
+    for (const Symbol *S : Plan.PrivateArrays)
+      AddPrivate(S);
+    for (const Symbol *S : Plan.Reductions) {
+      Buffer Zero = Mem.buffer(S);
+      if (Zero.Kind == ScalarKind::Int)
+        Zero.I.assign(Zero.I.size(), 0);
+      else
+        Zero.D.assign(Zero.D.size(), 0.0);
+      Map.emplace(S->id(), std::move(Zero));
+    }
+  }
+
+  /// Stage 3, after a worker fault: the torn parallel state must not be
+  /// merged. Restore the snapshot, then report the fault or replay the
+  /// loop serially; returns only when the replay recovered.
+  void rollBack(Invocation &Inv, Frame &F) {
+    const DoStmt *DS = Inv.DS;
+    Stats.WorkerFaults += Inv.Faults.Count.load(std::memory_order_relaxed);
+    RuntimeFault First = std::move(*Inv.Faults.First);
+    // Abort: no snapshot exists, shared state is possibly torn. Propagate
+    // and let the driver decide whether to kill the process.
+    if (Opts.OnFault == FaultAction::Abort)
+      throw FaultException(std::move(First));
+
+    // Restore every MAY-written buffer, version counter included. The
+    // restored bytes are exactly the pre-loop bytes, so inspector verdicts
+    // cached against the snapshot version are still valid — bumping the
+    // version here would spuriously re-run inspections after every
+    // recovered fault.
+    Timer RollbackTimer;
+    for (auto &[S, Buf] : Inv.Snapshot) {
+      uint64_t V = Buf.Version;
+      Mem.buffer(S) = std::move(Buf);
+      Mem.buffer(S).Version = V;
+    }
+    Inv.Rec.RollbackSeconds = RollbackTimer.seconds();
+    ++Stats.FaultRollbacks;
+
+    // Resource-limit faults (deadline, memory budget) are never replayed,
+    // whatever the policy: serially re-running the loop cannot un-blow a
+    // budget — it would just burn the daemon's wall clock a second time.
+    // Rollback-and-report preserves the transactional guarantee.
+    if (Opts.OnFault == FaultAction::Report ||
+        faultIsResourceLimit(First.Kind)) {
+      Inv.Rec.Detail = "worker fault: rolled back, reported";
+      addFaultRemark(DS, First, "rolled back, reported", nullptr);
+      throw FaultException(std::move(First));
     }
 
-    CountDispatch(false);
+    // Replay: serial tree-walk re-execution of the rolled-back loop. It
+    // either reproduces the fault with exact serial attribution, or
+    // completes correctly — proving the fault an artifact of the dispatch
+    // (e.g. damage done by a mis-certified plan, or an injected
+    // parallel-only fault). The invocation counts in the replay tier only.
+    ++Stats.FaultReplays;
+    Inv.Rec.Kind = prof::DispatchKind::Replay;
+    Frame FR = F;
+    FR.InReplay = true;
+    Timer ReplayTimer;
+    try {
+      execSerial(DS, Inv.Lo, Inv.Up, /*Step=*/1, FR);
+    } catch (FaultException &FE) {
+      Inv.Rec.ReplaySeconds = ReplayTimer.seconds();
+      Inv.Rec.Detail = "worker fault: replay reproduced the fault";
+      addFaultRemark(DS, First, "replay reproduced the fault", &FE.Fault);
+      throw;
+    }
+    Inv.Rec.ReplaySeconds = ReplayTimer.seconds();
+    Inv.Rec.Detail = "worker fault: replay recovered";
+    ++Stats.FaultReplaysRecovered;
+    addFaultRemark(DS, First, "replay recovered", nullptr);
+  }
 
+  /// Stage 4, after a clean join: merge the reduction partials, write back
+  /// the private copies of the worker that ran the final iteration
+  /// (Fortran's last-value semantics), and bump the write set's versions.
+  void commit(Invocation &Inv, const Frame &F) {
+    const xform::LoopPlan &Plan = *Inv.Plan;
+    const std::vector<prof::WorkerChunks> &Workers = Inv.Rec.Workers;
     // Merge reductions: global += sum of partials of the workers that ran.
-    for (const Symbol *S : Plan->Reductions) {
+    for (const Symbol *S : Plan.Reductions) {
       Buffer &G = Mem.buffer(S);
-      for (const WorkerState &WS : Workers) {
-        if (!WS.Ran)
+      for (unsigned W = 0; W < Workers.size(); ++W) {
+        if (!Workers[W].Ran)
           continue;
-        const Buffer &Part = WS.Overrides.at(S->id());
+        const Buffer &Part = Inv.Privates[W].at(S->id());
         if (G.Kind == ScalarKind::Int)
           G.I[0] += Part.I[0];
         else
@@ -1374,30 +1375,26 @@ private:
       }
     }
 
-    // Last-value semantics: the worker that executed the final iteration
-    // writes its private copies back. Chunks are dispensed in increasing
-    // iteration order under every schedule, so exactly one worker's highest
-    // iteration is Up.
-    WorkerState *LastW = nullptr;
-    for (WorkerState &WS : Workers)
-      if (WS.Ran && WS.LastIter == Up)
-        LastW = &WS;
-    if (!LastW)
-      fault(FaultKind::Internal, DS->loc(), F,
+    // Chunks are dispensed in increasing iteration order under every
+    // schedule, so exactly one worker's highest iteration is Up.
+    const std::unordered_map<unsigned, Buffer> *Final = nullptr;
+    for (unsigned W = 0; W < Workers.size(); ++W)
+      if (Workers[W].Ran && Workers[W].LastIter == Inv.Up)
+        Final = &Inv.Privates[W];
+    if (!Final)
+      fault(FaultKind::Internal, Inv.DS->loc(), F,
             "no worker executed the final iteration");
-    for (const Symbol *S : Plan->PrivateScalars)
-      Mem.buffer(S) = LastW->Overrides.at(S->id());
-    for (const Symbol *S : Plan->PrivateArrays)
-      Mem.buffer(S) = LastW->Overrides.at(S->id());
-    setScalar(DS->indexVar(), Up + 1);
+    for (const Symbol *S : Plan.PrivateScalars)
+      Mem.buffer(S) = Final->at(S->id());
+    for (const Symbol *S : Plan.PrivateArrays)
+      Mem.buffer(S) = Final->at(S->id());
+    setScalar(Inv.DS->indexVar(), Inv.Up + 1);
 
     // VM chunks skip the per-write version bumps (they would race); bump
     // everything the loop writes once, after the join and the writebacks,
     // so inspector-cache entries keyed on these arrays are invalidated.
     if (Opts.RuntimeChecks)
-      bumpWriteSetVersions(DS);
-
-    AddLoopSeconds();
+      bumpWriteSetVersions(Inv.DS);
   }
 
   /// Static work estimate of one statement: assignments count 1, nested
@@ -1475,18 +1472,11 @@ private:
 
   void recordDecision(const DoStmt *DS, bool Cached, bool DidPass,
                       const std::string &Detail) {
-    if (!Stats)
-      return;
-    if (Cached)
-      ++Stats->InspectionsCached;
-    else
-      ++Stats->InspectionsRun;
+    ++(Cached ? Stats.InspectionsCached : Stats.InspectionsRun);
     if (!DidPass)
-      ++Stats->RuntimeCheckFails;
-    if (Stats->RuntimeDecisions.size() < 64)
-      Stats->RuntimeDecisions.push_back(
-          {DS->label().empty() ? "<unlabeled>" : DS->label(), Cached, DidPass,
-           Detail});
+      ++Stats.RuntimeCheckFails;
+    if (Stats.RuntimeDecisions.size() < 64)
+      Stats.RuntimeDecisions.push_back({loopName(DS), Cached, DidPass, Detail});
   }
 
   /// Decides whether the runtime-conditional \p Plan may dispatch \p DS in
@@ -1520,7 +1510,6 @@ private:
     auto [It, Inserted] = C.InspectionCache.try_emplace(DS);
     RuntimeCaches::InspectionEntry &E = It->second;
     if (!Inserted && E.Lo == Lo && E.Up == Up && E.Versions == Versions) {
-      ++interp_inspections_cached;
       recordDecision(DS, /*Cached=*/true, E.Pass, E.Detail);
       if (DetailOut)
         *DetailOut = E.Detail;
@@ -1529,7 +1518,7 @@ private:
 
     trace::TraceScope Span("inspect", "interp");
     if (Span.active())
-      Span.arg("loop", DS->label().empty() ? "<unlabeled>" : DS->label());
+      Span.arg("loop", loopName(DS));
     // The inspection scans parallelize on the same pool the loop itself
     // would use; in simulate mode they run on the calling thread.
     WorkerPool *InsPool = nullptr;
@@ -1549,9 +1538,6 @@ private:
     E.Lo = Lo;
     E.Up = Up;
     E.Versions = std::move(Versions);
-    ++interp_inspections_run;
-    if (!E.Pass)
-      ++interp_runtime_check_fails;
     if (Span.active())
       Span.arg("verdict", E.Pass ? "pass" : "fail");
     recordDecision(DS, /*Cached=*/false, E.Pass, E.Detail);
@@ -1569,10 +1555,10 @@ private:
   const Program &Prog;
   Memory &Mem;
   const ExecOptions &Opts;
-  ExecStats *Stats;
-  /// Per-run fault summary (owned by Interpreter); execDo accumulates
-  /// trapped-fault, rollback, and replay counts here.
-  FaultState &FS;
+  /// The run's counters: the caller's ExecStats, or a run-local one.
+  /// Interpreter::run publishes the statistics and the fault summary from
+  /// it.
+  ExecStats &Stats;
   /// Session-lifetime per-loop caches and pool (owned by Interpreter).
   RuntimeCaches &C;
   /// The run's cooperative deadline token (null when untimed).
@@ -1600,6 +1586,8 @@ void Interpreter::setBytecodeCache(std::shared_ptr<vm::BytecodeCache> Cache) {
 }
 
 Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
+  ExecStats Local;
+  ExecStats &S = Stats ? *Stats : Local;
   if (Opts.Engine == ExecEngine::Both) {
     // Differential oracle: run the whole program as the plan-free serial
     // tree walk first (unprofiled — observation belongs to the run under
@@ -1609,16 +1597,14 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
     RefOpts.Plans = nullptr;
     RefOpts.Engine = ExecEngine::Vm;
     RefOpts.Prof = nullptr;
-    ExecStats RefStats;
-    Memory RefMem = run(RefOpts, &RefStats);
+    Memory RefMem = run(RefOpts);
     FaultState RefFault = LastFault;
 
     ExecOptions VmOpts = Opts;
     VmOpts.Engine = ExecEngine::Vm;
-    Memory VmMem = run(VmOpts, Stats);
+    Memory VmMem = run(VmOpts, &S);
 
-    if (Stats)
-      ++Stats->BothComparisons;
+    ++S.BothComparisons;
     std::string Why;
     if (RefFault.Faulted || LastFault.Faulted) {
       // A terminal fault leaves memory at the fault point, which legally
@@ -1641,8 +1627,7 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
               " vm=" + std::to_string(B);
     }
     if (!Why.empty()) {
-      if (Stats)
-        ++Stats->BothMismatches;
+      ++S.BothMismatches;
       LastFault.Faulted = true;
       ++LastFault.FaultsObserved;
       LastFault.Fault = RuntimeFault{};
@@ -1655,7 +1640,7 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   trace::TraceScope Span("interp-run", "interp");
   Span.arg("threads", std::to_string(Opts.Threads));
   Span.arg("mode", Opts.Simulate ? "simulate" : "threaded");
-  ++interp_runs;
+  S = ExecStats{};
   LastFault = FaultState{};
   Timer Total;
   Memory Mem;
@@ -1666,20 +1651,16 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   // state at the fault; rolled-back loops were already restored.
   try {
     Mem = Memory(Prog, Opts.MemLimitBytes);
-    E.emplace(Prog, Mem, Opts, Stats, LastFault, *Caches);
+    E.emplace(Prog, Mem, Opts, S, *Caches);
     E->runMain();
   } catch (FaultException &FE) {
-    ++interp_faults_trapped;
     LastFault.Faulted = true;
-    ++LastFault.FaultsObserved;
     LastFault.Fault = std::move(FE.Fault);
     if (Span.active())
       Span.arg("fault", faultKindName(LastFault.Fault.Kind));
   }
-  if (Stats) {
-    Stats->WallSeconds = Total.seconds();
-    Stats->TotalSeconds =
-        Stats->WallSeconds - (E ? E->VirtualAdjust : 0.0);
-  }
+  S.WallSeconds = Total.seconds();
+  S.TotalSeconds = S.WallSeconds - (E ? E->VirtualAdjust : 0.0);
+  publish(S, LastFault);
   return Mem;
 }

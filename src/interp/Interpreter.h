@@ -248,12 +248,15 @@ struct RaceRecord {
   std::string str() const;
 };
 
-/// Per-run execution statistics. In simulated mode every time below is
-/// virtual time (wall time minus the serialized surplus of simulated
-/// parallel loops); in threaded/serial mode it equals wall time.
+/// Per-run execution statistics: the interpreter's one counter store. Each
+/// runtime event is counted here once; when the run ends, the interp,
+/// dispatch and vm statistics and the FaultState counters are published
+/// from these fields. In simulated mode every time below is virtual time
+/// (wall time minus the serialized surplus of simulated parallel loops); in
+/// threaded/serial mode it equals wall time.
 struct ExecStats {
   /// Seconds per labeled loop (accumulated over invocations, measured at
-  /// the outermost entry of that label).
+  /// the outermost entry of that label, a faulted invocation included).
   std::map<std::string, double> LoopSeconds;
   double TotalSeconds = 0;
   /// Actual wall-clock seconds of the run.
@@ -282,8 +285,9 @@ struct ExecStats {
   unsigned RacesFound = 0;
 
   /// Per-loop dispatch tier over serial-context loop invocations (the
-  /// --stats "dispatch" group mirrors these as global counters). The four
-  /// tiers partition every dispatch decision — one tier per invocation:
+  /// --stats "dispatch" group is published from these). The four tiers
+  /// partition every dispatch decision — one tier per invocation, mapped
+  /// from its prof::DispatchKind by prof::dispatchTier:
   /// static (parallel on a static proof, no inspection), conditional
   /// (decided by the runtime-check inspector, whichever way it fell),
   /// serial (no inspector consulted; a race-checked plan-marked loop runs
@@ -314,6 +318,7 @@ struct ExecStats {
   unsigned WorkerFaults = 0;   ///< Faults trapped inside parallel workers.
   unsigned FaultRollbacks = 0; ///< Loop transactions rolled back.
   unsigned FaultReplays = 0;   ///< Serial replays executed after rollback.
+  unsigned FaultReplaysRecovered = 0; ///< Replays that completed cleanly.
   /// One FaultReplay remark per rolled-back parallel loop (capped at 64),
   /// stating the trapped fault and whether the serial replay recovered or
   /// reproduced it.
@@ -343,10 +348,10 @@ struct ExecStats {
 class RuntimeCaches;
 
 /// Runs \p P (starting at "main") against fresh memory; returns the final
-/// memory and fills \p Stats if given. An Interpreter may be reused across
-/// runs (a daemon session keeps one per cached program): its RuntimeCaches
-/// carry version-keyed verdicts between runs, which is sound because every
-/// run starts from fresh Memory whose version counters evolve
+/// memory and fills \p Stats (reset first) if given. An Interpreter may be
+/// reused across runs (a daemon session keeps one per cached program): its
+/// RuntimeCaches carry version-keyed verdicts between runs, which is sound
+/// because every run starts from fresh Memory whose version counters evolve
 /// deterministically.
 class Interpreter {
 public:

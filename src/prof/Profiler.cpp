@@ -45,6 +45,24 @@ const char *iaa::prof::dispatchKindName(DispatchKind K) {
   return "serial";
 }
 
+DispatchTier iaa::prof::dispatchTier(DispatchKind K) {
+  switch (K) {
+  case DispatchKind::Parallel:
+    return DispatchTier::Static;
+  case DispatchKind::CondParallel:
+  case DispatchKind::CondSerial:
+    return DispatchTier::Conditional;
+  case DispatchKind::Serial:
+  case DispatchKind::SerialSmall:
+    return DispatchTier::Serial;
+  case DispatchKind::Replay:
+    // The faulted dispatch is subsumed by its replay: one tier per
+    // invocation, so it does not also count in its original tier.
+    return DispatchTier::Replay;
+  }
+  return DispatchTier::Serial;
+}
+
 namespace {
 
 /// The engine that ran the loop body: a dispatched invocation (a replay
@@ -167,8 +185,8 @@ Session::~Session() = default;
 
 bool Session::countersAvailable() const { return Perf && Perf->available(); }
 
-LoopRecorder *Session::beginLoop(const std::string &Label, unsigned MaxWorkers,
-                                 int64_t Lo, int64_t Up, int64_t NIter) {
+LoopRecorder *Session::beginLoop(const std::string &Label, int64_t Lo,
+                                 int64_t Up, int64_t NIter) {
   if (Opts.HardwareCounters && !PerfTried) {
     PerfTried = true;
     Perf = std::make_unique<PerfCounters>();
@@ -182,53 +200,23 @@ LoopRecorder *Session::beginLoop(const std::string &Label, unsigned MaxWorkers,
   R->Lo = Lo;
   R->Up = Up;
   R->NIter = NIter;
-  if (!R->Light) {
-    R->Wrk.resize(MaxWorkers == 0 ? 1 : MaxWorkers);
-    if (Perf && Perf->available())
-      R->PerfBegin = Perf->read();
-  }
-  R->Clock.reset();
+  if (!R->Light && Perf && Perf->available())
+    R->PerfBegin = Perf->read();
   return R;
 }
 
-void Session::endLoop(LoopRecorder *R) {
+void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
   std::unique_ptr<LoopRecorder> Owner(R);
-  double WallUs = R->nowUs();
+  double WallUs = Inv.WallSeconds * 1e6;
   LabelAgg &Agg = Aggregates[R->Label];
   Agg.WallUs += WallUs;
-  Agg.AnalysisUs += R->InspectUs + R->RollbackUs + R->ReplayUs;
-  if (R->Threads > Agg.ThreadsMax)
-    Agg.ThreadsMax = R->Threads;
-  switch (R->Kind) {
-  case DispatchKind::Parallel:
-    Agg.SawParallel = true;
-    ++Agg.TierStatic;
-    break;
-  case DispatchKind::CondParallel:
-    Agg.SawCondPass = true;
-    ++Agg.TierConditional;
-    break;
-  case DispatchKind::CondSerial:
-    Agg.SawCondFail = true;
-    ++Agg.TierConditional;
-    break;
-  case DispatchKind::SerialSmall:
-    Agg.SawSerialSmall = true;
-    ++Agg.TierSerial;
-    break;
-  case DispatchKind::Serial:
-    ++Agg.TierSerial;
-    break;
-  case DispatchKind::Replay:
-    // The invocation did dispatch in parallel before the fault; it counts
-    // in the replay tier only (one tier per invocation), but the label
-    // still reads as parallelized in the verdict.
-    Agg.SawParallel = true;
-    ++Agg.TierReplay;
-    break;
-  }
-  if (!R->Detail.empty())
-    Agg.Detail = R->Detail;
+  Agg.AnalysisUs +=
+      (Inv.InspectSeconds + Inv.RollbackSeconds + Inv.ReplaySeconds) * 1e6;
+  if (Inv.Threads > Agg.ThreadsMax)
+    Agg.ThreadsMax = Inv.Threads;
+  ++Agg.Kinds[Inv.Kind];
+  if (!Inv.Detail.empty())
+    Agg.Detail = Inv.Detail;
   if (R->Light) {
     ++prof_loops_light;
     return;
@@ -239,28 +227,46 @@ void Session::endLoop(LoopRecorder *R) {
   LoopProfile P;
   P.Label = R->Label;
   P.Invocation = R->Invocation;
-  P.Kind = R->Kind;
-  P.Detail = R->Detail;
+  P.Kind = Inv.Kind;
+  P.Detail = Inv.Detail;
   P.Lo = R->Lo;
   P.Up = R->Up;
   P.NIter = R->NIter;
-  P.Threads = R->Threads;
-  P.Schedule = R->Schedule;
+  P.Threads = Inv.Threads;
+  P.Schedule = Inv.Schedule;
   P.WallUs = WallUs;
-  P.InspectUs = R->InspectUs;
-  P.RollbackUs = R->RollbackUs;
-  P.ReplayUs = R->ReplayUs;
+  P.InspectUs = Inv.InspectSeconds * 1e6;
+  P.RollbackUs = Inv.RollbackSeconds * 1e6;
+  P.ReplayUs = Inv.ReplaySeconds * 1e6;
   if (Perf && Perf->available() && R->PerfBegin.Valid)
     P.Perf = Perf->read() - R->PerfBegin;
 
-  // Worker timelines. Serial-dispatch invocations never saw a chunk grant;
-  // synthesize a single worker-0 lane (busy = wall) so every loop record
-  // has a timeline.
-  bool AnyChunks = false;
-  for (const auto &W : R->Wrk)
-    if (W.Chunks > 0)
-      AnyChunks = true;
-  if (!AnyChunks) {
+  // Worker timelines: one lane per worker that completed a chunk.
+  for (unsigned WId = 0; WId < Inv.Workers.size(); ++WId) {
+    const WorkerChunks &W = Inv.Workers[WId];
+    if (W.Chunks == 0)
+      continue;
+    WorkerTimeline T;
+    T.Worker = WId;
+    T.Chunks = W.Chunks;
+    T.BusyUs = W.BusySeconds * 1e6;
+    // Clamp into [0, wall]: a worker whose first poll raced the
+    // dispenser's cancellation (fault drain) can report a first-chunk
+    // start at — or, with clock skew, fractionally past — the loop's
+    // recorded wall time, which would otherwise push the derived stall
+    // interval negative.
+    T.DispatchUs = std::clamp(W.FirstStartSeconds * 1e6, 0.0, WallUs);
+    T.StallUs = std::max(0.0, WallUs - T.DispatchUs - T.BusyUs);
+    T.FirstIter = W.FirstIter;
+    T.LastIter = W.LastIter;
+    T.Events = W.Events;
+    T.EventsDropped = W.EventsDropped;
+    P.Workers.push_back(std::move(T));
+  }
+  // A serial invocation (or a dispatch whose every chunk faulted) has no
+  // completed chunk; synthesize a single worker-0 lane (busy = wall) so
+  // every loop record has a timeline.
+  if (P.Workers.empty()) {
     WorkerTimeline T;
     T.Worker = 0;
     T.Chunks = 1;
@@ -268,29 +274,6 @@ void Session::endLoop(LoopRecorder *R) {
     T.FirstIter = R->Lo;
     T.LastIter = R->NIter > 0 ? R->Up : R->Lo - 1;
     P.Workers.push_back(std::move(T));
-  } else {
-    for (unsigned WId = 0; WId < R->Wrk.size(); ++WId) {
-      const auto &W = R->Wrk[WId];
-      if (W.Chunks == 0)
-        continue;
-      WorkerTimeline T;
-      T.Worker = WId;
-      T.Chunks = W.Chunks;
-      T.BusyUs = W.BusyUs;
-      // Clamp into [0, wall]: a worker whose first poll raced the
-      // dispenser's cancellation (fault drain) can report a first-chunk
-      // start at — or, with clock skew, fractionally past — the loop's
-      // recorded wall time, which would otherwise push the derived stall
-      // interval negative.
-      T.DispatchUs =
-          W.FirstStartUs < 0 ? 0 : std::min(W.FirstStartUs, WallUs);
-      T.StallUs = std::max(0.0, WallUs - T.DispatchUs - T.BusyUs);
-      T.FirstIter = W.FirstIter == INT64_MAX ? 0 : W.FirstIter;
-      T.LastIter = W.LastIter == INT64_MIN ? 0 : W.LastIter;
-      T.Events = W.Events;
-      T.EventsDropped = W.EventsDropped;
-      P.Workers.push_back(std::move(T));
-    }
   }
 
   // Per-invocation imbalance feeds the label aggregate: sum of max worker
@@ -300,10 +283,8 @@ void Session::endLoop(LoopRecorder *R) {
     MaxBusy = std::max(MaxBusy, T.BusyUs);
     SumBusy += T.BusyUs;
   }
-  if (!P.Workers.empty()) {
-    Agg.MaxBusySumUs += MaxBusy;
-    Agg.AvgBusySumUs += SumBusy / static_cast<double>(P.Workers.size());
-  }
+  Agg.MaxBusySumUs += MaxBusy;
+  Agg.AvgBusySumUs += SumBusy / static_cast<double>(P.Workers.size());
 
   // Counter samples for the Chrome tracer: one track per loop label.
   if (trace::enabled()) {
@@ -326,24 +307,33 @@ Session::health(const xform::PipelineResult *Plans) const {
   for (const auto &[Label, Agg] : Aggregates) {
     LoopHealth H;
     H.Label = Label;
-    if (Agg.SawParallel)
+    auto Saw = [&Kinds = Agg.Kinds](DispatchKind K) {
+      return Kinds.count(K) > 0;
+    };
+    // A replayed invocation did dispatch in parallel before its fault, so
+    // the label reads as parallelized.
+    bool SawParallel =
+        Saw(DispatchKind::Parallel) || Saw(DispatchKind::Replay);
+    bool SawCondPass = Saw(DispatchKind::CondParallel);
+    bool SawCondFail = Saw(DispatchKind::CondSerial);
+    if (SawParallel)
       H.Verdict = "parallelized";
-    else if (Agg.SawCondPass || Agg.SawCondFail)
+    else if (SawCondPass || SawCondFail)
       H.Verdict = "conditional";
     else
       H.Verdict = "serial";
-    if (Agg.SawCondPass && Agg.SawCondFail)
+    if (SawCondPass && SawCondFail)
       H.Why = "inspection passed on some invocations, failed on others";
-    else if (Agg.SawCondPass)
+    else if (SawCondPass)
       H.Why = "runtime inspection passed";
-    else if (Agg.SawCondFail)
+    else if (SawCondFail)
       H.Why = "conditional loop ran serially" +
               (Agg.Detail.empty() ? "" : ": " + Agg.Detail);
-    else if (Agg.SawSerialSmall)
+    else if (Saw(DispatchKind::SerialSmall))
       H.Why = "below the parallel profitability threshold";
     else if (!Agg.Detail.empty())
       H.Why = Agg.Detail;
-    if (H.Why.empty() && !Agg.SawParallel && Plans) {
+    if (H.Why.empty() && !SawParallel && Plans) {
       if (const xform::LoopReport *R = Plans->reportFor(Label))
         if (!R->Parallel && !R->WhyNot.empty())
           H.Why = R->WhyNot;
@@ -362,10 +352,10 @@ Session::health(const xform::PipelineResult *Plans) const {
             : 0.0;
     H.AnalysisPct = Agg.WallUs > 0 ? Agg.AnalysisUs / Agg.WallUs * 100.0 : 0.0;
     H.WallUs = Agg.WallUs;
-    H.DispatchStatic = Agg.TierStatic;
-    H.DispatchConditional = Agg.TierConditional;
-    H.DispatchSerial = Agg.TierSerial;
-    H.DispatchReplay = Agg.TierReplay;
+    unsigned *Tier[] = {&H.DispatchStatic, &H.DispatchConditional,
+                        &H.DispatchSerial, &H.DispatchReplay};
+    for (const auto &[Kind, N] : Agg.Kinds)
+      *Tier[static_cast<int>(dispatchTier(Kind))] += N;
     Out.push_back(std::move(H));
   }
   return Out;

@@ -7,12 +7,14 @@
 ///
 /// \file
 /// The loop profiler the interpreter feeds from its dispatch decisions.
-/// Per labeled-loop invocation it records
+/// The interpreter fills one InvocationRecord per loop invocation and counts
+/// it into ExecStats; per labeled-loop invocation the profiler records
 ///
 ///  - how the invocation was dispatched (serial, below the profitability
 ///    threshold, parallel, conditional pass/fail, replayed) and why;
 ///  - a per-worker chunk timeline (dispatch delay, busy/stall seconds,
-///    iteration ranges) derived from the ChunkDispenser's chunk grants;
+///    iteration ranges) built from the chunk summaries the interpreter's
+///    chunk loop keeps;
 ///  - optional hardware counters (cycles, instructions, LLC misses) via
 ///    perf_event_open, with silent graceful fallback where the syscall is
 ///    unavailable (fields become JSON null);
@@ -31,7 +33,6 @@
 #define IAA_PROF_PROFILER_H
 
 #include "prof/PerfCounters.h"
-#include "support/Timer.h"
 
 #include <cstdint>
 #include <map>
@@ -138,6 +139,50 @@ struct LoopHealth {
 // Recording
 //===----------------------------------------------------------------------===//
 
+/// The four tiers ExecStats and the health report count invocations in;
+/// each invocation falls in exactly one.
+enum class DispatchTier {
+  Static,      ///< Parallel on a static proof, no inspection.
+  Conditional, ///< The runtime-check inspector decided, pass or fail.
+  Serial,      ///< No inspector consulted and nothing forked.
+  Replay,      ///< Faulted in parallel, rolled back, serially replayed.
+};
+
+/// The tier an invocation dispatched as \p K counts in: the one
+/// kind-to-tier mapping, shared by the interpreter's ExecStats and the
+/// health report.
+DispatchTier dispatchTier(DispatchKind K);
+
+/// One worker's share of a dispatched invocation, kept by the interpreter's
+/// chunk loop. Only that worker writes it; the join publishes it.
+struct WorkerChunks {
+  bool Ran = false;            ///< Started at least one chunk.
+  unsigned Chunks = 0;         ///< Chunks completed.
+  double BusySeconds = 0;      ///< Sum of completed chunk times.
+  double MaxChunkSeconds = 0;
+  double FirstStartSeconds = 0; ///< Since loop entry (valid when Ran).
+  int64_t FirstIter = 0, LastIter = 0; ///< Span of the completed chunks.
+  std::vector<ChunkEvent> Events; ///< Capped; EventsDropped counts the rest.
+  unsigned EventsDropped = 0;
+};
+
+/// What the interpreter decided and measured for one loop invocation. Its
+/// stages fill one record per invocation; the interpreter counts it into
+/// ExecStats and hands it to Session::endLoop, so both views read the same
+/// values.
+struct InvocationRecord {
+  DispatchKind Kind = DispatchKind::Serial;
+  std::string Detail; ///< Failing check, VM bailout, fault note, ...
+  unsigned Threads = 1;
+  const char *Schedule = ""; ///< Set when the invocation dispatched.
+  double WallSeconds = 0;
+  double InspectSeconds = 0;
+  double RollbackSeconds = 0;
+  double ReplaySeconds = 0;
+  /// One entry per worker of a dispatch; empty for a serial invocation.
+  std::vector<WorkerChunks> Workers;
+};
+
 struct SessionOptions {
   /// Fully recorded invocations per loop label; later invocations are
   /// counted (wall time, dispatch kind) without a timeline.
@@ -148,68 +193,25 @@ struct SessionOptions {
   bool HardwareCounters = true;
 };
 
-/// The per-invocation recording object the interpreter writes into. Chunk
-/// notes go to per-worker slots, so parallel workers record without
-/// synchronization; the fork/join barrier publishes them to endLoop.
+/// A session's handle on one open invocation: who it is and where its
+/// hardware counters started. Everything measured arrives in endLoop's
+/// InvocationRecord.
 class LoopRecorder {
 public:
-  /// Microseconds since loop entry (timeline timebase).
-  double nowUs() const { return Clock.seconds() * 1e6; }
-
-  /// Records one chunk grant executed by \p Worker. A no-op for a
-  /// past-the-cap (light) invocation, which keeps only wall time and
-  /// dispatch kind.
-  void noteChunk(unsigned Worker, unsigned ChunkId, int64_t First,
-                 int64_t Last, double StartUs, double DurUs) {
-    if (Light)
-      return;
-    WorkerRec &WR = Wrk[Worker < Wrk.size() ? Worker : 0];
-    ++WR.Chunks;
-    WR.BusyUs += DurUs;
-    if (WR.FirstStartUs < 0)
-      WR.FirstStartUs = StartUs;
-    if (StartUs + DurUs > WR.LastEndUs)
-      WR.LastEndUs = StartUs + DurUs;
-    if (First < WR.FirstIter)
-      WR.FirstIter = First;
-    if (Last > WR.LastIter)
-      WR.LastIter = Last;
-    if (WR.Events.size() < MaxChunkEvents)
-      WR.Events.push_back({ChunkId, First, Last, StartUs, DurUs});
-    else
-      ++WR.EventsDropped;
-  }
-
-  /// Dispatch context, filled in by the interpreter as decisions fall.
-  DispatchKind Kind = DispatchKind::Serial;
-  std::string Detail;
-  unsigned Threads = 1;
-  std::string Schedule;
-  double InspectUs = 0;
-  double RollbackUs = 0;
-  double ReplayUs = 0;
+  /// Chunk events each worker keeps for this invocation: the session's cap,
+  /// or 0 past the per-label invocation cap (a light record has no
+  /// timeline).
+  size_t chunkEventCap() const { return Light ? 0 : MaxChunkEvents; }
 
 private:
   friend class Session;
-
-  struct WorkerRec {
-    unsigned Chunks = 0;
-    double BusyUs = 0;
-    double FirstStartUs = -1;
-    double LastEndUs = 0;
-    int64_t FirstIter = INT64_MAX, LastIter = INT64_MIN;
-    std::vector<ChunkEvent> Events;
-    unsigned EventsDropped = 0;
-  };
 
   std::string Label;
   unsigned Invocation = 0;
   bool Light = false;
   size_t MaxChunkEvents = 0;
   int64_t Lo = 0, Up = 0, NIter = 0;
-  Timer Clock;
   PerfSample PerfBegin;
-  std::vector<WorkerRec> Wrk;
 };
 
 //===----------------------------------------------------------------------===//
@@ -236,13 +238,13 @@ public:
 
   /// Starts recording one invocation of the loop labeled \p Label. Returns
   /// a light recorder past the per-label invocation cap.
-  LoopRecorder *beginLoop(const std::string &Label, unsigned MaxWorkers,
-                          int64_t Lo, int64_t Up, int64_t NIter);
+  LoopRecorder *beginLoop(const std::string &Label, int64_t Lo, int64_t Up,
+                          int64_t NIter);
 
-  /// Finalizes \p R (timelines, counter deltas), stores the profile, folds
-  /// it into the label aggregate, emits trace counter samples when tracing
-  /// is on, and deletes the recorder.
-  void endLoop(LoopRecorder *R);
+  /// Builds the profile of \p R from \p Inv (timelines, counter deltas),
+  /// stores it, folds it into the label aggregate, emits trace counter
+  /// samples when tracing is on, and deletes the recorder.
+  void endLoop(LoopRecorder *R, const InvocationRecord &Inv);
 
   /// Attributes a program-level analysis cost (pipeline, audit, ...) to
   /// the session; shows up as a "phase" JSONL record.
@@ -275,12 +277,9 @@ private:
     double AnalysisUs = 0;
     double MaxBusySumUs = 0; ///< Sum over invocations of max worker busy.
     double AvgBusySumUs = 0; ///< Sum over invocations of mean worker busy.
-    bool SawParallel = false, SawCondPass = false, SawCondFail = false,
-         SawSerialSmall = false;
-    /// Invocation counts by dispatch tier (static / conditional / serial /
-    /// replay; see LoopHealth — one tier per invocation).
-    unsigned TierStatic = 0, TierConditional = 0, TierSerial = 0,
-             TierReplay = 0;
+    /// Invocations per dispatch kind; the verdict and the dispatch tiers
+    /// are both read off these.
+    std::map<DispatchKind, unsigned> Kinds;
     std::string Detail;
   };
 

@@ -69,6 +69,7 @@ check 2 "bad --schedule value" "$MFPAR" "$TMP/good.mf" --schedule=gided
 check 2 "removed --locality flag" "$MFPAR" "$TMP/good.mf" --locality=off
 check 2 "removed --engine=interp" "$MFPAR" "$TMP/good.mf" --engine=interp
 check 2 "empty --profile= value" "$MFPAR" "$TMP/good.mf" --profile=
+check 2 "--run above 256" "$MFPAR" "$TMP/good.mf" --run=257
 check 0 "profiled run writes JSONL" \
   "$MFPAR" "$TMP/good.mf" --profile="$TMP/profile.jsonl" --run=2
 [ -s "$TMP/profile.jsonl" ] ||
@@ -104,6 +105,23 @@ check 0 "generous memory budget" \
 check 6 "blown memory budget" "$MFPAR" "$TMP/big.mf" --run=2 --mem-limit-mb=1
 grep -q "resource-exhausted" "$TMP/err" ||
   { echo "FAIL: budget fault missing from stderr" >&2; FAILURES=$((FAILURES + 1)); }
+
+# The race checker runs under the same limits. Its shadow tags make each
+# iteration slow, so 1M iterations outlast a 1 ms deadline; the 8 MB array
+# overflows a 1 MB budget before the first one.
+cat >"$TMP/mid.mf" <<'EOF'
+program t
+  integer i
+  real x(1000000)
+  lp: do i = 1, 1000000
+    x(i) = i * 1.0
+  end do
+end
+EOF
+check 5 "blown deadline under --race-check" \
+  "$MFPAR" "$TMP/mid.mf" --race-check --deadline-ms=1
+check 6 "blown memory budget under --race-check" \
+  "$MFPAR" "$TMP/mid.mf" --race-check --mem-limit-mb=1
 
 # --on-fault=abort keeps the legacy behavior: the driver aborts the
 # process (SIGABRT = 134 from sh) after printing the fault.

@@ -10,7 +10,8 @@
 /// well-formed Chrome trace-event JSON (parsed back here) whose spans nest
 /// correctly per thread under real multi-threaded interpretation; and the
 /// optimization remarks match golden expectations for a known-parallel and
-/// a known-serial loop, both as text and as JSONL.
+/// a known-serial loop, both as text and as JSONL; and the interpreter's
+/// statistics read the same counts as its ExecStats and FaultState.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include "support/Remarks.h"
 #include "support/Statistic.h"
 #include "support/Trace.h"
+#include "verify/FaultInjector.h"
 #include "xform/Parallelizer.h"
 
 #include <map>
@@ -325,6 +327,79 @@ TEST(Observability, TraceBufferDropsOldestWhenCapped) {
   trace::setMaxEvents(0); // Restore the default cap.
   trace::clear();
   stat::resetAll();
+}
+
+//===----------------------------------------------------------------------===//
+// Interpreter counters
+//===----------------------------------------------------------------------===//
+
+TEST(Observability, InterpreterStatisticsEqualExecStats) {
+  // The interp, dispatch and vm statistics are published from the run's
+  // ExecStats and FaultState, so each delta equals its twin. `scat` fails
+  // its injectivity inspection once and is served that failing verdict
+  // from the cache twice more: three serial fallbacks, one inspection.
+  // `lp` faults in parallel only, rolls back and replays.
+  auto P = parseOrDie(R"(program t
+    integer i, k, n
+    integer ind(1000)
+    real x(1000), y(1000), z(2000)
+    n = 1000
+    init: do i = 1, n
+      ind(i) = mod(i * 7, 500) + 1
+      x(i) = i * 0.5
+      y(i) = mod(i, 9) * 0.25
+    end do
+    do k = 1, 3
+      scat: do i = 1, n
+        x(ind(i)) = x(ind(i)) + y(i) * 0.5
+      end do
+    end do
+    lp: do i = 1, 2000
+      z(i) = z(i) * 2.0 + 1.0
+    end do
+  end)");
+  PipelineResult Plan = parallelize(*P, PipelineMode::Full);
+  verify::FaultInjector Inj;
+  Inj.faultAt("lp", 1000, /*ParallelOnly=*/true);
+  interp::Interpreter I(*P);
+  interp::ExecOptions Opts;
+  Opts.Plans = &Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.RuntimeChecks = true;
+  Opts.Injector = &Inj;
+  interp::ExecStats S;
+  stat::Collector C;
+  {
+    stat::CollectorScope Scope(&C);
+    I.run(Opts, &S);
+  }
+  const interp::FaultState &FS = I.faultState();
+  ASSERT_FALSE(FS.Faulted) << FS.str();
+  ASSERT_EQ(S.RuntimeCheckFails, 3u);
+  ASSERT_EQ(S.InspectionsCached, 2u);
+  ASSERT_EQ(S.FaultReplays, 1u);
+
+  EXPECT_EQ(C.value("interp_runs"), 1u);
+  EXPECT_EQ(C.value("interp_parallel_loop_runs"), S.ParallelLoopRuns);
+  EXPECT_EQ(C.value("interp_chunks_run"), S.ChunksRun);
+  EXPECT_EQ(C.value("interp_inspections_run"), S.InspectionsRun);
+  EXPECT_EQ(C.value("interp_inspections_cached"), S.InspectionsCached);
+  EXPECT_EQ(C.value("interp_runtime_check_fails"), S.RuntimeCheckFails);
+  EXPECT_EQ(C.value("interp_faults_trapped"), FS.FaultsObserved);
+  EXPECT_EQ(C.value("interp_fault_rollbacks"), S.FaultRollbacks);
+  EXPECT_EQ(C.value("interp_fault_rollbacks"), FS.Rollbacks);
+  EXPECT_EQ(C.value("interp_fault_replays"), S.FaultReplays);
+  EXPECT_EQ(C.value("interp_fault_replays"), FS.Replays);
+  EXPECT_EQ(C.value("interp_fault_replays_recovered"), FS.ReplaysRecovered);
+  EXPECT_EQ(C.value("dispatch_static"), S.DispatchStatic);
+  EXPECT_EQ(C.value("dispatch_conditional"), S.DispatchConditional);
+  EXPECT_EQ(C.value("dispatch_serial"), S.DispatchSerial);
+  EXPECT_EQ(C.value("dispatch_replay"), S.DispatchReplay);
+  EXPECT_EQ(C.value("vm_loops_compiled"), S.VmLoopsCompiled);
+  EXPECT_EQ(C.value("vm_bailouts"), S.VmBailouts);
+  EXPECT_EQ(S.VmParallelLoopRuns, S.ParallelLoopRuns);
+  EXPECT_EQ(S.VmChunksRun, S.ChunksRun);
 }
 
 //===----------------------------------------------------------------------===//

@@ -267,6 +267,32 @@ TEST(RaceCheck, WidenedSectionRacesOnTheBoundaryElement) {
 // Record plumbing
 //===----------------------------------------------------------------------===//
 
+TEST(RaceCheck, CancelledRunStopsAtTheDeadline) {
+  // A race-checked loop polls the run's deadline like any serial loop: a
+  // cancelled token ends the run with a deadline fault, attributed to the
+  // shadowed loop, instead of letting it run to completion.
+  Harness R(R"(program t
+    integer i
+    real x(5000)
+    lp: do i = 1, 5000
+      x(i) = i * 2.0
+    end do
+  end)");
+  ASSERT_NE(R.Plan.planFor(R.P->findLoop("lp")), nullptr);
+  CancelToken Cancel;
+  Cancel.cancel();
+  Interpreter I(*R.P);
+  ExecOptions Opts;
+  Opts.Plans = &R.Plan;
+  Opts.RaceCheck = true;
+  Opts.Cancel = &Cancel;
+  I.run(Opts);
+  const FaultState &FS = I.faultState();
+  ASSERT_TRUE(FS.Faulted);
+  EXPECT_EQ(FS.Fault.Kind, FaultKind::DeadlineExceeded) << FS.str();
+  EXPECT_EQ(FS.Fault.Loop, "lp");
+}
+
 TEST(RaceCheck, RecordsNameTheLoopAndKind) {
   Harness R(R"(program t
     integer i, n

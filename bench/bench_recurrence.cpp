@@ -13,8 +13,8 @@
 /// the O(n) inspection. Each kernel runs serial, with runtime checks
 /// enabled, and with them disabled (promoted loops stay parallel either
 /// way; the control falls back to serial), in the simulated-multiprocessor
-/// mode. A checksum sweep across all schedules and thread counts guards
-/// bit-identical results. Emits BENCH_recurrence.json.
+/// mode. A checksum sweep across thread counts guards bit-identical
+/// results. Emits BENCH_recurrence.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -139,13 +139,11 @@ struct RunResult {
 };
 
 RunResult runConfig(const Compiled &C, unsigned Threads, bool RuntimeChecks,
-                    interp::Schedule S = interp::Schedule::Static,
                     interp::Memory *OutMem = nullptr) {
   interp::Interpreter I(*C.Program);
   interp::ExecOptions Opts;
   Opts.Plans = &C.Pipeline;
   Opts.Threads = Threads;
-  Opts.Sched = S;
   Opts.Simulate = true;
   Opts.RuntimeChecks = RuntimeChecks;
   RunResult R;
@@ -164,20 +162,16 @@ unsigned promotedLoops(const Compiled &C) {
   return N;
 }
 
-/// Serial-reference checksum compared against every schedule × thread
-/// combination with checks enabled.
+/// Serial-reference checksum compared against every thread count with
+/// checks enabled.
 bool checksumSweepOk(const Compiled &C, double Want) {
-  const interp::Schedule Schedules[] = {interp::Schedule::Static,
-                                        interp::Schedule::Dynamic,
-                                        interp::Schedule::Guided};
   std::set<unsigned> Dead = interp::deadPrivateIds(C.Pipeline);
-  for (interp::Schedule S : Schedules)
-    for (unsigned T : {1u, 2u, 4u, 7u}) {
-      interp::Memory M(*C.Program);
-      runConfig(C, T, /*RuntimeChecks=*/true, S, &M);
-      if (M.checksumExcluding(Dead) != Want)
-        return false;
-    }
+  for (unsigned T : {1u, 2u, 4u, 7u}) {
+    interp::Memory M(*C.Program);
+    runConfig(C, T, /*RuntimeChecks=*/true, &M);
+    if (M.checksumExcluding(Dead) != Want)
+      return false;
+  }
   return true;
 }
 

@@ -8,7 +8,6 @@
 // mfpar: a small driver exposing the whole toolchain on MF source files.
 //
 //   mfpar FILE.mf [--mode=full|noiaa|apo] [--run[=THREADS]] [--dump]
-//         [--schedule=static|dynamic|guided] [--chunk=N]
 //         [--engine=vm|both] [--audit=off|warn|strict] [--race-check]
 //         [--runtime-check[=on|off]] [--on-fault=abort|report|replay]
 //         [--stats] [--trace=out.json] [--remarks=out.jsonl]
@@ -16,9 +15,8 @@
 //
 //   --mode     pipeline configuration (default full)
 //   --run      execute the program serially, then with its parallel loops
-//              dispatched on N OS threads (1 to 256, default 4)
-//   --schedule loop scheduling policy for parallel runs (default static)
-//   --chunk    chunk size for the scheduler (default: policy-dependent)
+//              dispatched on N OS threads (1 to 256, default 4), each
+//              loop's iterations handed out in guided chunks
 //   --engine   how dispatched loops run (default vm): vm compiles each
 //              certified loop body to register bytecode with fused
 //              gather/scatter superinstructions and runs its chunks on the
@@ -89,8 +87,7 @@ using namespace iaa;
 static int usage() {
   std::fprintf(stderr,
                "usage: mfpar [FILE.mf] [--mode=full|noiaa|apo] "
-               "[--run[=THREADS]] [--schedule=static|dynamic|guided] "
-               "[--chunk=N] [--engine=vm|both] "
+               "[--run[=THREADS]] [--engine=vm|both] "
                "[--audit=off|warn|strict] [--race-check] "
                "[--runtime-check[=on|off]] [--on-fault=abort|report|replay] "
                "[--deadline-ms=N] [--mem-limit-mb=N] "
@@ -100,8 +97,8 @@ static int usage() {
 }
 
 /// Rejecting an unrecognized flag value silently (exit 2 with nothing but
-/// the usage line) cost real debugging time: --schedule=gided would run the
-/// default schedule's numbers. Every value error now names the flag, the
+/// the usage line) cost real debugging time: --engine=bth would run the
+/// default engine's numbers. Every value error now names the flag, the
 /// offending value, and what would have been accepted.
 static int badValue(const char *Flag, const std::string &Value,
                     const char *Expected) {
@@ -129,8 +126,6 @@ int main(int argc, char **argv) {
   xform::PipelineMode Mode = xform::PipelineMode::Full;
   bool Run = false;
   unsigned Threads = 4;
-  interp::Schedule Sched = interp::Schedule::Static;
-  int64_t ChunkSize = 0;
   interp::ExecEngine Engine = interp::ExecEngine::Vm;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RaceCheck = false;
@@ -168,13 +163,6 @@ int main(int argc, char **argv) {
         return badValue("--run", Arg.substr(6),
                         "a thread count between 1 and 256");
       Threads = static_cast<unsigned>(T);
-    } else if (Arg.rfind("--schedule=", 0) == 0) {
-      if (!interp::parseSchedule(Arg.substr(11), Sched))
-        return badValue("--schedule", Arg.substr(11),
-                        "static, dynamic, or guided");
-    } else if (Arg.rfind("--chunk=", 0) == 0) {
-      if (!parseInt(Arg.substr(8), ChunkSize) || ChunkSize <= 0)
-        return badValue("--chunk", Arg.substr(8), "a positive integer");
     } else if (Arg.rfind("--engine=", 0) == 0) {
       if (!interp::parseEngine(Arg.substr(9), Engine))
         return badValue("--engine", Arg.substr(9), "vm or both");
@@ -369,23 +357,23 @@ int main(int argc, char **argv) {
     Seq.Cancel = Cancel.get();
     Seq.MemLimitBytes = MemLimitBytes;
     interp::ExecStats SeqStats;
-    // The serial image is needed only for its checksums: take them and
-    // free it, so the parallel run does not stack on top of it.
+    // The serial image is needed only for its checksum: take it and free
+    // it, so the parallel run does not stack on top of it. Both lines print
+    // the digest the match compares, which skips privatized arrays that are
+    // dead after their loop (their contents are unspecified).
     std::set<unsigned> Dead = interp::deadPrivateIds(R);
     double SerialLive = 0;
     {
       interp::Memory Serial = I.run(Seq, &SeqStats);
       if (I.faultState().Faulted)
         return ReportFault("serial run", I.faultState());
-      std::printf("\nserial run: %.3fs, checksum %.6f\n",
-                  SeqStats.TotalSeconds, Serial.checksum());
       SerialLive = Serial.checksumExcluding(Dead);
+      std::printf("\nserial run: %.3fs, checksum %.6f\n",
+                  SeqStats.TotalSeconds, SerialLive);
     }
     interp::ExecOptions Par;
     Par.Plans = &R;
     Par.Threads = Threads;
-    Par.Sched = Sched;
-    Par.ChunkSize = ChunkSize;
     Par.Engine = Engine;
     Par.RuntimeChecks = RuntimeChecks;
     Par.OnFault = OnFault;
@@ -406,11 +394,10 @@ int main(int argc, char **argv) {
     if (ParFS.Faulted)
       return ReportFault("parallel run", ParFS);
     double ParallelLive = Parallel.checksumExcluding(Dead);
-    std::printf("parallel run (%u thread%s, %s schedule): %.3fs "
+    std::printf("parallel run (%u thread%s): %.3fs "
                 "(speedup %.2f over the serial tree walk, engine and "
                 "parallel gain combined), checksum %.6f (%s)\n",
-                Threads, Threads == 1 ? "" : "s",
-                interp::scheduleName(Sched), ParStats.TotalSeconds,
+                Threads, Threads == 1 ? "" : "s", ParStats.TotalSeconds,
                 SeqStats.TotalSeconds / ParStats.TotalSeconds, ParallelLive,
                 SerialLive == ParallelLive ? "matches serial" : "DIVERGES");
     std::printf("engine (%s): %u loop%s compiled to bytecode, %u bailout%s "

@@ -12,8 +12,8 @@
 // request — the daemon itself survives them all.
 //
 //   mfpard --socket=/tmp/mfpard.sock
-//   printf '{"op":"run","source":"program p\\nreal x(4)\\ndo i = 1, 4\\n  x(i) = i\\nend do\\nend\\n"}\n' \
-//     | nc -U /tmp/mfpard.sock
+//   SRC='program p\nreal x(4)\ndo i = 1, 4\n  x(i) = i\nend do\nend\n'
+//   printf '{"op":"run","source":"%s"}\n' "$SRC" | nc -U /tmp/mfpard.sock
 //
 //===----------------------------------------------------------------------===//
 

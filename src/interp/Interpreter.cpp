@@ -1052,7 +1052,6 @@ private:
     trace::TraceScope Span("parallel-loop", "interp");
     Span.arg("loop", loopName(DS));
     Span.arg("threads", std::to_string(Inv.Rec.Threads));
-    Span.arg("schedule", Inv.Rec.Schedule);
     dispatch(Inv, *VmProg);
     if (Inv.Faults.Count.load(std::memory_order_relaxed)) {
       rollBack(Inv, F);
@@ -1126,7 +1125,6 @@ private:
                        : prof::DispatchKind::Parallel;
     R.Threads = static_cast<unsigned>(
         std::min<int64_t>(std::max(1u, Opts.Threads), Inv.NIter));
-    R.Schedule = scheduleName(Opts.Sched);
     return &Compiled.Prog;
   }
 
@@ -1149,7 +1147,7 @@ private:
       for (const Symbol *S : loopWriteSet(Inv.DS))
         Inv.Snapshot.emplace_back(S, Mem.buffer(S));
 
-    ChunkDispenser Disp(Inv.Lo, Inv.Up, T, Opts.Sched, Opts.ChunkSize);
+    ChunkDispenser Disp(Inv.Lo, Inv.Up, T);
     if (Opts.Simulate) {
       runSimulated(Inv, VmProg, Disp);
     } else {
@@ -1161,7 +1159,7 @@ private:
         int64_t First, Last;
         unsigned ChunkId;
         try {
-          while (Disp.next(W, First, Last, ChunkId))
+          while (Disp.next(First, Last, ChunkId))
             runChunk(Inv, VmProg, W, First, Last, ChunkId);
         } catch (FaultException &FE) {
           Inv.Faults.record(std::move(FE.Fault));
@@ -1181,30 +1179,21 @@ private:
     Inv.ChunksRun = Disp.chunksDispensed();
   }
 
-  /// Stage 2's simulated chunk loop. It models the schedule the threaded
-  /// path would run by greedy list scheduling on per-worker virtual clocks:
-  /// the next chunk goes to the worker whose clock is lowest, exactly how a
+  /// Stage 2's simulated chunk loop. It models the dispenser the threaded
+  /// path runs by greedy list scheduling on per-worker virtual clocks: the
+  /// next chunk goes to the worker whose clock is lowest, exactly how a
   /// free thread is the one that grabs from the dispenser. The loop's
-  /// virtual cost is the busiest worker's clock plus the fork/join overhead
-  /// model.
+  /// virtual cost is the busiest worker's clock plus a fork/join overhead
+  /// of 50 us + 3 us per worker.
   void runSimulated(Invocation &Inv, const vm::LoopProgram &VmProg,
                     ChunkDispenser &Disp) {
     unsigned T = Inv.Rec.Threads;
     std::vector<double> Clock(T, 0.0);
-    std::vector<bool> Done(T, false);
-    while (true) {
-      unsigned W = T;
-      for (unsigned C = 0; C < T; ++C)
-        if (!Done[C] && (W == T || Clock[C] < Clock[W]))
-          W = C;
-      if (W == T)
-        break;
-      int64_t First, Last;
-      unsigned ChunkId;
-      if (!Disp.next(W, First, Last, ChunkId)) {
-        Done[W] = true;
-        continue;
-      }
+    int64_t First, Last;
+    unsigned ChunkId;
+    while (Disp.next(First, Last, ChunkId)) {
+      unsigned W = static_cast<unsigned>(
+          std::min_element(Clock.begin(), Clock.end()) - Clock.begin());
       // Simulated workers fault exactly like threaded ones: trap, publish
       // first-fault-wins, cancel the dispenser.
       try {
@@ -1221,7 +1210,7 @@ private:
     }
     // One worker runs inline and forks nothing, as WorkerPool::run(1) does
     // on the threaded path, so it pays no fork/join overhead.
-    double Overhead = T > 1 ? Opts.ForkAlpha + Opts.ForkBeta * T : 0.0;
+    double Overhead = T > 1 ? 50e-6 + 3e-6 * T : 0.0;
     VirtualAdjust += SumChunks - (MaxClock + Overhead);
   }
 
@@ -1263,7 +1252,6 @@ private:
     if (ChunkSpan.active()) {
       ChunkSpan.arg("worker", std::to_string(W));
       ChunkSpan.arg("chunk", std::to_string(ChunkId));
-      ChunkSpan.arg("schedule", Inv.Rec.Schedule);
       ChunkSpan.arg("first", std::to_string(First));
       ChunkSpan.arg("last", std::to_string(Last));
     }
@@ -1375,8 +1363,8 @@ private:
       }
     }
 
-    // Chunks are dispensed in increasing iteration order under every
-    // schedule, so exactly one worker's highest iteration is Up.
+    // Chunks are dispensed in increasing iteration order from one cursor,
+    // so exactly one worker's highest iteration is Up.
     const std::unordered_map<unsigned, Buffer> *Final = nullptr;
     for (unsigned W = 0; W < Workers.size(); ++W)
       if (Workers[W].Ran && Workers[W].LastIter == Inv.Up)
@@ -1590,14 +1578,15 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   ExecStats &S = Stats ? *Stats : Local;
   if (Opts.Engine == ExecEngine::Both) {
     // Differential oracle: run the whole program as the plan-free serial
-    // tree walk first (unprofiled — observation belongs to the run under
-    // test), then on the VM with the caller's plans and stats, and demand
-    // agreement.
+    // tree walk first (unprofiled and unpublished — observation belongs to
+    // the run under test), then on the VM with the caller's plans and
+    // stats, and demand agreement.
     ExecOptions RefOpts = Opts;
     RefOpts.Plans = nullptr;
     RefOpts.Engine = ExecEngine::Vm;
     RefOpts.Prof = nullptr;
-    Memory RefMem = run(RefOpts);
+    ExecStats RefStats;
+    Memory RefMem = execute(RefOpts, RefStats);
     FaultState RefFault = LastFault;
 
     ExecOptions VmOpts = Opts;
@@ -1636,7 +1625,12 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
     }
     return VmMem;
   }
+  Memory Mem = execute(Opts, S);
+  publish(S, LastFault);
+  return Mem;
+}
 
+Memory Interpreter::execute(const ExecOptions &Opts, ExecStats &S) {
   trace::TraceScope Span("interp-run", "interp");
   Span.arg("threads", std::to_string(Opts.Threads));
   Span.arg("mode", Opts.Simulate ? "simulate" : "threaded");
@@ -1661,6 +1655,5 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   }
   S.WallSeconds = Total.seconds();
   S.TotalSeconds = S.WallSeconds - (E ? E->VirtualAdjust : 0.0);
-  publish(S, LastFault);
   return Mem;
 }

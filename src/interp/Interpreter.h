@@ -9,9 +9,9 @@
 /// A tree-walking executor for MF programs, with a parallel do-loop mode
 /// driven by the parallelizer's plans. This is the runtime substrate for the
 /// speedup experiments (Fig. 16): a loop the pipeline marked parallel is
-/// executed fork/join on a persistent WorkerPool, with iteration chunks
-/// handed out by a ChunkDispenser under a static, dynamic, or guided
-/// schedule and run as register bytecode (vm/Vm.h) at every thread count;
+/// executed fork/join on a persistent WorkerPool, with guided iteration
+/// chunks handed out by a ChunkDispenser and run as register bytecode
+/// (vm/Vm.h) at every thread count;
 /// the tree walk itself only ever runs serially. Arrays and scalars the
 /// plan privatized get per-worker copies built on the worker's first chunk;
 /// recognized sum reductions use per-worker partials merged after the join;
@@ -138,15 +138,13 @@ struct ExecOptions {
   /// Worker count for parallel loops.
   unsigned Threads = 1;
   /// Simulated multiprocessor mode: chunks run sequentially, each timed,
-  /// and a parallel loop costs max(chunk times) plus a fork/join overhead
-  /// of ForkAlpha + ForkBeta * Threads seconds (none when one worker runs,
-  /// which forks nothing). Semantically identical to
-  /// the threaded mode; used to reproduce the Fig. 16 speedup curves on
-  /// hosts without enough cores (speedup *shape* — Amdahl fractions, load
-  /// imbalance, per-invocation overhead — is preserved).
+  /// and a parallel loop costs its busiest virtual worker's time plus a
+  /// fork/join overhead of 50 us + 3 us * Threads (none when one worker
+  /// runs, which forks nothing). Semantically identical to the threaded
+  /// mode; used to reproduce the Fig. 16 speedup curves on hosts without
+  /// enough cores (speedup *shape* — Amdahl fractions, load imbalance,
+  /// per-invocation overhead — is preserved).
   bool Simulate = false;
-  double ForkAlpha = 50e-6;
-  double ForkBeta = 3e-6;
   /// Profitability heuristic: a marked-parallel loop only forks when its
   /// estimated work (trip count times a static body weight, nested loops
   /// assumed 16 iterations) reaches this threshold. Vendor parallelizers
@@ -154,11 +152,6 @@ struct ExecOptions {
   /// unguarded execution (the paper's Fig. 16(e) tiny-input slowdown needs
   /// the guard off).
   int64_t MinParallelWork = 1024;
-  /// How parallel loops divide iterations among workers (see Schedule).
-  Schedule Sched = Schedule::Static;
-  /// Chunk size for the dispenser; 0 picks the policy default (static:
-  /// ceil(NIter/Threads), dynamic: 1, guided: a floor of 1).
-  int64_t ChunkSize = 0;
   /// Shadow-memory race checking: every plan-marked loop runs serially
   /// (bypassing the profitability guard) under per-element last-writer /
   /// last-reader iteration tags, and every cross-iteration conflict not
@@ -269,13 +262,15 @@ struct ExecStats {
   /// only chunks that ran at least one iteration.
   unsigned ChunksRun = 0;
   /// Workers that executed at least one chunk, accumulated over parallel
-  /// loop invocations. Less than ParallelLoopRuns * Threads when the
-  /// iteration space did not fill every worker (e.g. NIter=6 over T=4 under
-  /// the static schedule leaves one worker idle).
+  /// loop invocations. Less than ParallelLoopRuns * Threads when some
+  /// worker never got a chunk (a short loop can drain before every worker
+  /// wakes).
   unsigned WorkersEngaged = 0;
   /// Sum and max of per-chunk body seconds, over every parallel loop
-  /// invocation. max * ChunksRun / sum ≈ 1 means balanced work; larger
-  /// values expose imbalance (also visible per-chunk in the trace).
+  /// invocation. Guided chunks shrink as a loop drains, so
+  /// max * ChunksRun / sum measures the spread of chunk sizes, not how
+  /// evenly the workers were loaded; per-worker balance is the profiler's
+  /// ImbalancePct (prof/Profiler.h).
   double ChunkSecondsSum = 0;
   double ChunkSecondsMax = 0;
   /// Conflicts observed by the shadow-memory race checker
@@ -378,6 +373,11 @@ public:
   void setBytecodeCache(std::shared_ptr<vm::BytecodeCache> Cache);
 
 private:
+  /// One engine pass: fills \p S (reset first) and LastFault, publishes
+  /// nothing. run() publishes the statistics of the run under test only, so
+  /// Engine == Both's plan-free reference pass is not counted.
+  Memory execute(const ExecOptions &Opts, ExecStats &S);
+
   const mf::Program &Prog;
   FaultState LastFault;
   std::unique_ptr<RuntimeCaches> Caches;

@@ -102,105 +102,27 @@ void WorkerPool::run(unsigned Workers,
 // Loop scheduling
 //===----------------------------------------------------------------------===//
 
-const char *interp::scheduleName(Schedule S) {
-  switch (S) {
-  case Schedule::Static: return "static";
-  case Schedule::Dynamic: return "dynamic";
-  case Schedule::Guided: return "guided";
-  }
-  return "?";
-}
+ChunkDispenser::ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers)
+    : Up(Up), Workers(std::max(1u, Workers)), Cursor(Lo) {}
 
-bool interp::parseSchedule(const std::string &Name, Schedule &Out) {
-  if (Name == "static")
-    Out = Schedule::Static;
-  else if (Name == "dynamic")
-    Out = Schedule::Dynamic;
-  else if (Name == "guided")
-    Out = Schedule::Guided;
-  else
+bool ChunkDispenser::next(int64_t &First, int64_t &Last, unsigned &ChunkId) {
+  // A cancelled dispenser dispenses nothing more, so faulting loops drain
+  // at chunk granularity.
+  if (Cancelled.load(std::memory_order_acquire))
     return false;
-  return true;
-}
-
-ChunkDispenser::ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers,
-                               Schedule Sched, int64_t ChunkSize)
-    : Lo(Lo), Up(Up), Workers(std::max(1u, Workers)), Sched(Sched),
-      Iterations(Up >= Lo ? Up - Lo + 1 : 0), Cursor(Lo) {
-  int64_t NIter = Iterations;
-  switch (Sched) {
-  case Schedule::Static:
-    // Default: one contiguous block per worker (ceil split), the classic
-    // parallel-do decomposition; an explicit chunk deals blocks round-robin.
-    Chunk = ChunkSize > 0
-                ? ChunkSize
-                : std::max<int64_t>(1, (NIter + this->Workers - 1) /
-                                           this->Workers);
-    StaticBlock.resize(this->Workers);
-    for (unsigned W = 0; W < this->Workers; ++W)
-      StaticBlock[W] = W;
-    break;
-  case Schedule::Dynamic:
-    Chunk = ChunkSize > 0 ? ChunkSize : 1;
-    break;
-  case Schedule::Guided:
-    Chunk = ChunkSize > 0 ? ChunkSize : 1; // Minimum grab size.
-    break;
-  }
-}
-
-bool ChunkDispenser::next(unsigned W, int64_t &First, int64_t &Last,
-                          unsigned &ChunkId) {
-  // Zero-trip guard (Up < Lo): nothing to dispense under any policy, and
-  // the per-policy cursors below must stay untouched so arbitrarily many
-  // polls of an empty space stay safe. A cancelled dispenser likewise
-  // dispenses nothing more, so faulting loops drain at chunk granularity.
-  if (Iterations == 0 || Cancelled.load(std::memory_order_acquire))
-    return false;
-  switch (Sched) {
-  case Schedule::Static: {
-    // Per-worker cursor: worker W owns blocks W, W+Workers, W+2*Workers...
-    // No cross-thread state is touched besides the dispense counter.
-    int64_t Block = StaticBlock[W];
-    First = Lo + Block * Chunk;
-    if (First > Up)
+  // Claim by compare-exchange rather than an unconditional fetch_add: an
+  // exhausted (or zero-trip, Up < Lo) space leaves the cursor untouched
+  // however often it is polled.
+  int64_t Cur = Cursor.load(std::memory_order_relaxed);
+  int64_t Size;
+  do {
+    if (Cur > Up)
       return false;
-    StaticBlock[W] = Block + Workers;
-    Last = std::min(Up, First + Chunk - 1);
-    break;
-  }
-  case Schedule::Dynamic: {
-    // Claim by compare-exchange rather than an unconditional fetch_add:
-    // exhausted polls must not keep advancing the cursor (a worker spinning
-    // on an empty dispenser would eventually overflow it).
-    int64_t Cur = Cursor.load(std::memory_order_relaxed);
-    do {
-      if (Cur > Up)
-        return false;
-    } while (!Cursor.compare_exchange_weak(Cur, Cur + Chunk,
-                                           std::memory_order_relaxed));
-    First = Cur;
-    Last = std::min(Up, First + Chunk - 1);
-    break;
-  }
-  case Schedule::Guided: {
-    int64_t Cur = Cursor.load(std::memory_order_relaxed);
-    int64_t Size;
-    do {
-      if (Cur > Up)
-        return false;
-      int64_t Remaining = Up - Cur + 1;
-      Size = std::max(Chunk, Remaining / static_cast<int64_t>(Workers));
-      // Clamp after applying the floor: a floor larger than what remains
-      // must not overshoot Up.
-      Size = std::min(Size, Remaining);
-    } while (!Cursor.compare_exchange_weak(Cur, Cur + Size,
-                                           std::memory_order_relaxed));
-    First = Cur;
-    Last = Cur + Size - 1;
-    break;
-  }
-  }
+    Size = std::max<int64_t>(1, (Up - Cur + 1) / Workers);
+  } while (!Cursor.compare_exchange_weak(Cur, Cur + Size,
+                                         std::memory_order_relaxed));
+  First = Cur;
+  Last = Cur + Size - 1;
   ChunkId = Dispensed.fetch_add(1, std::memory_order_relaxed);
   return true;
 }

@@ -10,8 +10,7 @@
 /// whose threads park on a condition variable between loops (fork/join at
 /// loop granularity, as on the paper's SGI Origin runs, but without paying a
 /// thread spawn per invocation), and a ChunkDispenser that hands out
-/// iteration chunks under the static / dynamic / guided policies of
-/// `ExecOptions::Sched`.
+/// guided iteration chunks from one shared cursor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,40 +86,27 @@ private:
 // Loop scheduling
 //===----------------------------------------------------------------------===//
 
-/// How a parallel loop's iteration space is divided among workers.
-enum class Schedule {
-  Static,  ///< Contiguous blocks dealt round-robin (one block per worker by
-           ///< default); deterministic worker-to-iteration assignment.
-  Dynamic, ///< Fixed-size chunks grabbed first-come-first-served from an
-           ///< atomic cursor (default chunk 1).
-  Guided,  ///< Like dynamic, but each grab takes remaining/Workers
-           ///< iterations (never fewer than the chunk-size floor), so chunks
-           ///< shrink as the loop drains.
-};
-
-const char *scheduleName(Schedule S);
-
-/// Parses "static" / "dynamic" / "guided"; false on anything else.
-bool parseSchedule(const std::string &Name, Schedule &Out);
-
 /// Hands out chunks of the inclusive iteration space [Lo, Up] (step 1) to
-/// \p Workers workers. Every iteration is dispensed exactly once; chunks are
-/// dispensed in increasing iteration order, and the chunks a given worker
-/// receives are increasing too — so the worker holding the chunk that
-/// contains Up is the one that executed the loop's final iteration (the
-/// last-value owner). next() is thread-safe; empty chunks are never handed
-/// out, so chunksDispensed() counts only chunks that ran iterations.
+/// \p Workers workers under one rule, guided self-scheduling: each grab
+/// takes max(1, remaining / Workers) iterations from a shared atomic
+/// cursor, so chunks shrink as the loop drains and a worker that finishes
+/// early takes more of what is left. Uneven iterations (triangular loops,
+/// run-time segment lengths) balance without a tuning knob. Every iteration
+/// is dispensed exactly once; chunks are dispensed in increasing iteration
+/// order, so the chunks a given worker receives are increasing too — the
+/// worker holding the chunk that contains Up is the one that executed the
+/// loop's final iteration (the last-value owner). Which worker runs which
+/// chunk depends on timing; the sequence of chunk ranges does not. next()
+/// is thread-safe; empty chunks are never handed out, so chunksDispensed()
+/// counts only chunks that ran iterations.
 class ChunkDispenser {
 public:
-  /// \p ChunkSize 0 picks the policy default: static ceil(N/Workers)
-  /// (one block per worker), dynamic 1, guided a floor of 1.
-  ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers, Schedule Sched,
-                 int64_t ChunkSize);
+  ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers);
 
-  /// Grabs worker \p W's next chunk; false when its share is exhausted or
-  /// the dispenser was cancelled.
+  /// Grabs the next chunk; false when the space is exhausted or the
+  /// dispenser was cancelled.
   /// \p ChunkId is the dispense-order id (0-based), used by trace spans.
-  bool next(unsigned W, int64_t &First, int64_t &Last, unsigned &ChunkId);
+  bool next(int64_t &First, int64_t &Last, unsigned &ChunkId);
 
   /// Cooperative cancellation: after cancel(), next() returns false for
   /// every worker, so a fork/join whose workers loop on next() drains at
@@ -139,21 +125,12 @@ public:
     return Dispensed.load(std::memory_order_relaxed);
   }
 
-  int64_t chunkSize() const { return Chunk; }
-
 private:
-  int64_t Lo, Up;
-  unsigned Workers;
-  Schedule Sched;
-  int64_t Chunk; ///< Block size (static/dynamic) or floor (guided).
-  /// Trip count; 0 for an empty space (Up < Lo). Guards next() so a
-  /// zero-trip loop dispenses nothing under every policy and repeated
-  /// exhausted polls never touch the cursor.
-  int64_t Iterations;
-  std::atomic<int64_t> Cursor;      ///< Next undispensed iteration.
+  int64_t Up;
+  int64_t Workers;
+  std::atomic<int64_t> Cursor; ///< Next undispensed iteration.
   std::atomic<bool> Cancelled{false};
   std::atomic<unsigned> Dispensed{0};
-  std::vector<int64_t> StaticBlock; ///< Per-worker next block index.
 };
 
 } // namespace interp

@@ -115,7 +115,6 @@ std::string LoopProfile::jsonLine() const {
                     ", \"up\": " + std::to_string(Up) +
                     ", \"niter\": " + std::to_string(NIter) +
                     ", \"threads\": " + std::to_string(Threads) +
-                    ", \"schedule\": " + json::str(Schedule) +
                     ", \"wall_us\": " + json::num(WallUs) +
                     ", \"inspect_us\": " + json::num(InspectUs) +
                     ", \"rollback_us\": " + json::num(RollbackUs) +
@@ -233,7 +232,6 @@ void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
   P.Up = R->Up;
   P.NIter = R->NIter;
   P.Threads = Inv.Threads;
-  P.Schedule = Inv.Schedule;
   P.WallUs = WallUs;
   P.InspectUs = Inv.InspectSeconds * 1e6;
   P.RollbackUs = Inv.RollbackSeconds * 1e6;

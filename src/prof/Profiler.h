@@ -97,7 +97,6 @@ struct LoopProfile {
                       ///< (may be empty).
   int64_t Lo = 0, Up = 0, NIter = 0;
   unsigned Threads = 1;
-  std::string Schedule;
   double WallUs = 0;
   double InspectUs = 0;  ///< Inspector scans charged to this invocation.
   double RollbackUs = 0; ///< Fault-containment snapshot restore.
@@ -174,7 +173,6 @@ struct InvocationRecord {
   DispatchKind Kind = DispatchKind::Serial;
   std::string Detail; ///< Failing check, VM bailout, fault note, ...
   unsigned Threads = 1;
-  const char *Schedule = ""; ///< Set when the invocation dispatched.
   double WallSeconds = 0;
   double InspectSeconds = 0;
   double RollbackSeconds = 0;

@@ -65,8 +65,8 @@ bool asBool(const json::Value &V, bool &Out) {
 
 /// Every top-level request member the grammar (Protocol.h) defines.
 constexpr const char *RequestFields[] = {
-    "id", "op", "source", "mode", "threads", "schedule", "chunk", "engine",
-    "audit", "runtime_checks", "on_fault", "simulate", "profile", "counters",
+    "id", "op", "source", "mode", "threads", "engine", "audit",
+    "runtime_checks", "on_fault", "simulate", "profile", "counters",
     "remarks", "trace", "deadline_ms", "mem_limit_mb"};
 
 bool isRequestField(const std::string &Name) {
@@ -163,20 +163,6 @@ std::optional<Request> server::parseRequest(const std::string &Line,
       return std::nullopt;
     }
     R.Threads = static_cast<unsigned>(T);
-  }
-  if (const json::Value *V = Doc->member("schedule")) {
-    if (!V->isString() || !interp::parseSchedule(V->S, R.Sched)) {
-      Err = "'schedule' must be static, dynamic, or guided";
-      return std::nullopt;
-    }
-  }
-  if (const json::Value *V = Doc->member("chunk")) {
-    uint64_t C = 0;
-    if (!asBoundedU64(*V, uint64_t(1) << 32, C)) {
-      Err = "'chunk' must be a non-negative integer";
-      return std::nullopt;
-    }
-    R.ChunkSize = static_cast<int64_t>(C);
   }
   if (const json::Value *V = Doc->member("engine")) {
     if (!V->isString() || !interp::parseEngine(V->S, R.Engine)) {

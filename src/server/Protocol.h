@@ -14,8 +14,7 @@
 ///                 | "stats" | "shutdown",
 ///                 "source"?: string,            // run/compile
 ///                 "mode"?: "full"|"noiaa"|"apo",
-///                 "threads"?: int, "schedule"?: string, "chunk"?: int,
-///                 "engine"?: "vm"|"both",
+///                 "threads"?: int, "engine"?: "vm"|"both",
 ///                 "audit"?: "off"|"warn"|"strict",
 ///                 "runtime_checks"?: bool, "on_fault"?: "report"|"replay",
 ///                 "simulate"?: bool, "profile"?: bool, "counters"?: bool,
@@ -65,8 +64,6 @@ struct Request {
   std::string Source;
   xform::PipelineMode Mode = xform::PipelineMode::Full;
   unsigned Threads = 4;
-  interp::Schedule Sched = interp::Schedule::Static;
-  int64_t ChunkSize = 0;
   interp::ExecEngine Engine = interp::ExecEngine::Vm;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RuntimeChecks = false;
@@ -83,7 +80,7 @@ struct Request {
 
   /// Fingerprint of the flags that shape the compile *artifact* (pipeline
   /// mode and audit mode — execution flags do not participate, so runs
-  /// that differ only in threads or schedule share one artifact).
+  /// that differ only in threads or engine share one artifact).
   std::string flagKey() const;
 };
 

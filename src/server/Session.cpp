@@ -90,8 +90,6 @@ Response Session::handleRun(const Request &R) {
   interp::ExecOptions Opts;
   Opts.Plans = &PS.Art->Plans;
   Opts.Threads = R.Threads;
-  Opts.Sched = R.Sched;
-  Opts.ChunkSize = R.ChunkSize;
   Opts.Engine = R.Engine;
   Opts.RuntimeChecks = R.RuntimeChecks;
   Opts.OnFault = R.OnFault; // Abort was refused at the protocol boundary.

@@ -295,9 +295,16 @@ unsigned iaa::xform::forwardSubstitute(Program &P) {
 
 unsigned iaa::xform::eliminateDeadCode(Program &P) {
   unsigned Removed = 0;
+  // Array extents read scalars too: `real x(n)` needs n's constant
+  // definition even after const-prop has rewritten every statement that
+  // read n.
+  analysis::UseSet ExtentUses;
+  for (const Symbol *S : P.symbols())
+    for (unsigned D = 0; D < S->rank(); ++D)
+      analysis::SymbolUses::exprReads(S->extent(D), ExtentUses);
   for (int Round = 0; Round < 3; ++Round) {
-    // Scalars read anywhere (conditions, bounds, subscripts, RHS).
-    std::set<const Symbol *> Read;
+    // Scalars read anywhere (conditions, bounds, subscripts, RHS, extents).
+    std::set<const Symbol *> Read = ExtentUses.Reads;
     P.forEachStmt([&](Stmt *S) {
       analysis::UseSet U;
       switch (S->kind()) {

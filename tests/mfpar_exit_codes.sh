@@ -67,6 +67,8 @@ check 2 "unknown flag" "$MFPAR" --no-such-flag
 check 2 "bad --on-fault value" "$MFPAR" --on-fault=bogus
 check 2 "bad --schedule value" "$MFPAR" "$TMP/good.mf" --schedule=gided
 check 2 "removed --locality flag" "$MFPAR" "$TMP/good.mf" --locality=off
+check 2 "removed --schedule flag" "$MFPAR" "$TMP/good.mf" --schedule=guided
+check 2 "removed --chunk flag" "$MFPAR" "$TMP/good.mf" --chunk=4
 check 2 "removed --engine=interp" "$MFPAR" "$TMP/good.mf" --engine=interp
 check 2 "empty --profile= value" "$MFPAR" "$TMP/good.mf" --profile=
 check 2 "--run above 256" "$MFPAR" "$TMP/good.mf" --run=257

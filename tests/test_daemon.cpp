@@ -246,6 +246,8 @@ TEST(DaemonProtocol, UnknownFieldsAreRejected) {
   const std::pair<const char *, const char *> Cases[] = {
       {"deadline_m", "\"deadline_m\": 50"},
       {"locality", "\"locality\": \"off\""},
+      {"schedule", "\"schedule\": \"static\""},
+      {"chunk", "\"chunk\": 4"},
   };
   for (const auto &[Field, Extra] : Cases) {
     std::string Out =

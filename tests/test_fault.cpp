@@ -13,8 +13,8 @@
 /// loop's transaction back bit-identically; serial replay either recovers
 /// (the fault was a parallelism artifact) or reproduces the fault with
 /// serial attribution (a genuinely faulting program, e.g. dispatched past a
-/// lying inspector); and the whole machinery holds under every schedule and
-/// thread count, with injected faults of every kind.
+/// lying inspector); and the whole machinery holds at every thread count,
+/// with injected faults of every kind.
 ///
 /// Suite names here start with "Fault" so the CI ThreadSanitizer job's
 /// --gtest_filter picks them up.
@@ -39,8 +39,6 @@ using iaa::test::parseOrDie;
 
 namespace {
 
-const Schedule AllSchedules[] = {Schedule::Static, Schedule::Dynamic,
-                                 Schedule::Guided};
 const unsigned ThreadCounts[] = {1, 2, 4, 7};
 
 /// A certified-parallel loop over shared x: the injection target for the
@@ -435,84 +433,75 @@ TEST(ReplaySpeculation, ForceParallelDivZeroRecoversToSerialSemantics) {
   double Want = Ref.run(ExecOptions{}).checksum();
   ASSERT_FALSE(Ref.faultState().Faulted);
 
-  for (Schedule S : AllSchedules) {
-    Interpreter I(*P);
-    ExecOptions Opts;
-    Opts.Plans = &Plan;
-    Opts.Threads = 4;
-    Opts.Sched = S;
-    Opts.MinParallelWork = 0;
-    Memory M = I.run(Opts);
-    const FaultState &FS = I.faultState();
-    EXPECT_FALSE(FS.Faulted) << scheduleName(S) << ": " << FS.str();
-    EXPECT_EQ(FS.Replays, FS.Rollbacks) << scheduleName(S);
-    EXPECT_EQ(FS.ReplaysRecovered, FS.Replays) << scheduleName(S);
-    EXPECT_EQ(M.checksum(), Want) << scheduleName(S);
-  }
+  Interpreter I(*P);
+  ExecOptions Opts;
+  Opts.Plans = &Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Memory M = I.run(Opts);
+  const FaultState &FS = I.faultState();
+  EXPECT_FALSE(FS.Faulted) << FS.str();
+  EXPECT_EQ(FS.Replays, FS.Rollbacks);
+  EXPECT_EQ(FS.ReplaysRecovered, FS.Replays);
+  EXPECT_EQ(M.checksum(), Want);
 }
 
 //===----------------------------------------------------------------------===//
-// Injection sweeps: kind x schedule x thread count
+// Injection sweeps: kind x thread count
 //===----------------------------------------------------------------------===//
 
-TEST(FaultSweep, ContainedUnderEveryScheduleAndThreadCount) {
+TEST(FaultSweep, ContainedUnderEveryThreadCount) {
   Harness H(SharedScale);
   double Want = H.serialChecksum();
   const FaultKind Kinds[] = {FaultKind::Injected, FaultKind::OutOfBounds,
                              FaultKind::DivByZero};
   for (FaultKind K : Kinds)
-    for (Schedule S : AllSchedules)
-      for (unsigned T : ThreadCounts) {
-        verify::InjectionPoint Pt;
-        Pt.Loop = "lp";
-        Pt.Iteration = 1000;
-        Pt.ParallelOnly = true;
-        Pt.Kind = K;
-        Pt.Detail = "sweep injection";
-        verify::FaultInjector Inj;
-        Inj.addPoint(Pt);
-        Interpreter I(*H.P);
-        ExecOptions Opts;
-        Opts.Plans = &H.Plan;
-        Opts.Threads = T;
-        Opts.Sched = S;
-        Opts.MinParallelWork = 0;
-        Opts.Injector = &Inj;
-        ExecStats Stats;
-        Memory M = I.run(Opts, &Stats);
-        const FaultState &FS = I.faultState();
-        std::string Ctx = std::string(faultKindName(K)) + "/" +
-                          scheduleName(S) + "/T=" + std::to_string(T);
-        EXPECT_FALSE(FS.Faulted) << Ctx << ": " << FS.str();
-        EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want) << Ctx;
-        // A dispatch happened (one VM chunk at T=1), trapped the
-        // injection, rolled back, and recovered by serial replay.
-        EXPECT_EQ(FS.Rollbacks, 1u) << Ctx;
-        EXPECT_EQ(FS.ReplaysRecovered, 1u) << Ctx;
-      }
+    for (unsigned T : ThreadCounts) {
+      verify::InjectionPoint Pt;
+      Pt.Loop = "lp";
+      Pt.Iteration = 1000;
+      Pt.ParallelOnly = true;
+      Pt.Kind = K;
+      Pt.Detail = "sweep injection";
+      verify::FaultInjector Inj;
+      Inj.addPoint(Pt);
+      Interpreter I(*H.P);
+      ExecOptions Opts;
+      Opts.Plans = &H.Plan;
+      Opts.Threads = T;
+      Opts.MinParallelWork = 0;
+      Opts.Injector = &Inj;
+      ExecStats Stats;
+      Memory M = I.run(Opts, &Stats);
+      const FaultState &FS = I.faultState();
+      std::string Ctx =
+          std::string(faultKindName(K)) + "/T=" + std::to_string(T);
+      EXPECT_FALSE(FS.Faulted) << Ctx << ": " << FS.str();
+      EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want) << Ctx;
+      // A dispatch happened (one VM chunk at T=1), trapped the
+      // injection, rolled back, and recovered by serial replay.
+      EXPECT_EQ(FS.Rollbacks, 1u) << Ctx;
+      EXPECT_EQ(FS.ReplaysRecovered, 1u) << Ctx;
+    }
 }
 
 TEST(FaultSweep, AbortModePropagatesWithoutRollback) {
   Harness H(SharedScale);
-  for (Schedule S : AllSchedules) {
-    verify::FaultInjector Inj;
-    Inj.faultAt("lp", 1000);
-    Interpreter I(*H.P);
-    ExecOptions Opts;
-    Opts.Plans = &H.Plan;
-    Opts.Threads = 4;
-    Opts.Sched = S;
-    Opts.MinParallelWork = 0;
-    Opts.OnFault = FaultAction::Abort;
-    Opts.Injector = &Inj;
-    I.run(Opts);
-    const FaultState &FS = I.faultState();
-    ASSERT_TRUE(FS.Faulted) << scheduleName(S);
-    EXPECT_EQ(FS.Fault.Kind, FaultKind::Injected) << scheduleName(S);
-    EXPECT_EQ(FS.Rollbacks, 0u)
-        << scheduleName(S) << ": abort mode must not snapshot or roll back";
-    EXPECT_EQ(FS.Replays, 0u) << scheduleName(S);
-  }
+  verify::FaultInjector Inj;
+  Inj.faultAt("lp", 1000);
+  Interpreter I(*H.P);
+  ExecOptions Opts;
+  Opts.Plans = &H.Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.OnFault = FaultAction::Abort;
+  Opts.Injector = &Inj;
+  I.run(Opts);
+  const FaultState &FS = I.faultState();
+  ASSERT_TRUE(FS.Faulted);
+  EXPECT_EQ(FS.Fault.Kind, FaultKind::Injected);
+  EXPECT_EQ(FS.Rollbacks, 0u) << "abort mode must not snapshot or roll back";
+  EXPECT_EQ(FS.Replays, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -168,6 +168,18 @@ TEST(Interp, ArrayExtentFromConstant) {
   const Buffer &B = M.buffer(P->findSymbol("x"));
   ASSERT_EQ(B.D.size(), 8u);
   EXPECT_DOUBLE_EQ(B.D[7], 8.0);
+
+  // The pipeline must keep n's definition: const-prop rewrites the loop
+  // bound to 8, after which only the extent of x still reads n.
+  xform::PipelineResult Plans =
+      xform::parallelize(*P, xform::PipelineMode::Full);
+  Interpreter I(*P);
+  ExecOptions Par;
+  Par.Plans = &Plans;
+  Par.Threads = 2;
+  Memory After = I.run(Par);
+  ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+  EXPECT_EQ(After.buffer(P->findSymbol("x")).D, B.D);
 }
 
 TEST(Interp, ChecksumIsDeterministic) {

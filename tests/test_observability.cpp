@@ -338,7 +338,9 @@ TEST(Observability, InterpreterStatisticsEqualExecStats) {
   // ExecStats and FaultState, so each delta equals its twin. `scat` fails
   // its injectivity inspection once and is served that failing verdict
   // from the cache twice more: three serial fallbacks, one inspection.
-  // `lp` faults in parallel only, rolls back and replays.
+  // `lp` faults in parallel only, rolls back and replays. Under
+  // --engine=both the plan-free reference pass is not the run under test,
+  // so it publishes nothing.
   auto P = parseOrDie(R"(program t
     integer i, k, n
     integer ind(1000)
@@ -359,47 +361,53 @@ TEST(Observability, InterpreterStatisticsEqualExecStats) {
     end do
   end)");
   PipelineResult Plan = parallelize(*P, PipelineMode::Full);
-  verify::FaultInjector Inj;
-  Inj.faultAt("lp", 1000, /*ParallelOnly=*/true);
-  interp::Interpreter I(*P);
-  interp::ExecOptions Opts;
-  Opts.Plans = &Plan;
-  Opts.Threads = 4;
-  Opts.MinParallelWork = 0;
-  Opts.RuntimeChecks = true;
-  Opts.Injector = &Inj;
-  interp::ExecStats S;
-  stat::Collector C;
-  {
-    stat::CollectorScope Scope(&C);
-    I.run(Opts, &S);
-  }
-  const interp::FaultState &FS = I.faultState();
-  ASSERT_FALSE(FS.Faulted) << FS.str();
-  ASSERT_EQ(S.RuntimeCheckFails, 3u);
-  ASSERT_EQ(S.InspectionsCached, 2u);
-  ASSERT_EQ(S.FaultReplays, 1u);
+  for (interp::ExecEngine E :
+       {interp::ExecEngine::Vm, interp::ExecEngine::Both}) {
+    SCOPED_TRACE(interp::engineName(E));
+    verify::FaultInjector Inj;
+    Inj.faultAt("lp", 1000, /*ParallelOnly=*/true);
+    interp::Interpreter I(*P);
+    interp::ExecOptions Opts;
+    Opts.Plans = &Plan;
+    Opts.Threads = 4;
+    Opts.MinParallelWork = 0;
+    Opts.RuntimeChecks = true;
+    Opts.Injector = &Inj;
+    Opts.Engine = E;
+    interp::ExecStats S;
+    stat::Collector C;
+    {
+      stat::CollectorScope Scope(&C);
+      I.run(Opts, &S);
+    }
+    const interp::FaultState &FS = I.faultState();
+    ASSERT_FALSE(FS.Faulted) << FS.str();
+    ASSERT_EQ(S.RuntimeCheckFails, 3u);
+    ASSERT_EQ(S.InspectionsCached, 2u);
+    ASSERT_EQ(S.FaultReplays, 1u);
 
-  EXPECT_EQ(C.value("interp_runs"), 1u);
-  EXPECT_EQ(C.value("interp_parallel_loop_runs"), S.ParallelLoopRuns);
-  EXPECT_EQ(C.value("interp_chunks_run"), S.ChunksRun);
-  EXPECT_EQ(C.value("interp_inspections_run"), S.InspectionsRun);
-  EXPECT_EQ(C.value("interp_inspections_cached"), S.InspectionsCached);
-  EXPECT_EQ(C.value("interp_runtime_check_fails"), S.RuntimeCheckFails);
-  EXPECT_EQ(C.value("interp_faults_trapped"), FS.FaultsObserved);
-  EXPECT_EQ(C.value("interp_fault_rollbacks"), S.FaultRollbacks);
-  EXPECT_EQ(C.value("interp_fault_rollbacks"), FS.Rollbacks);
-  EXPECT_EQ(C.value("interp_fault_replays"), S.FaultReplays);
-  EXPECT_EQ(C.value("interp_fault_replays"), FS.Replays);
-  EXPECT_EQ(C.value("interp_fault_replays_recovered"), FS.ReplaysRecovered);
-  EXPECT_EQ(C.value("dispatch_static"), S.DispatchStatic);
-  EXPECT_EQ(C.value("dispatch_conditional"), S.DispatchConditional);
-  EXPECT_EQ(C.value("dispatch_serial"), S.DispatchSerial);
-  EXPECT_EQ(C.value("dispatch_replay"), S.DispatchReplay);
-  EXPECT_EQ(C.value("vm_loops_compiled"), S.VmLoopsCompiled);
-  EXPECT_EQ(C.value("vm_bailouts"), S.VmBailouts);
-  EXPECT_EQ(S.VmParallelLoopRuns, S.ParallelLoopRuns);
-  EXPECT_EQ(S.VmChunksRun, S.ChunksRun);
+    EXPECT_EQ(C.value("interp_runs"), 1u);
+    EXPECT_EQ(C.value("interp_parallel_loop_runs"), S.ParallelLoopRuns);
+    EXPECT_EQ(C.value("interp_chunks_run"), S.ChunksRun);
+    EXPECT_EQ(C.value("interp_inspections_run"), S.InspectionsRun);
+    EXPECT_EQ(C.value("interp_inspections_cached"), S.InspectionsCached);
+    EXPECT_EQ(C.value("interp_runtime_check_fails"), S.RuntimeCheckFails);
+    EXPECT_EQ(C.value("interp_faults_trapped"), FS.FaultsObserved);
+    EXPECT_EQ(C.value("interp_fault_rollbacks"), S.FaultRollbacks);
+    EXPECT_EQ(C.value("interp_fault_rollbacks"), FS.Rollbacks);
+    EXPECT_EQ(C.value("interp_fault_replays"), S.FaultReplays);
+    EXPECT_EQ(C.value("interp_fault_replays"), FS.Replays);
+    EXPECT_EQ(C.value("interp_fault_replays_recovered"),
+              FS.ReplaysRecovered);
+    EXPECT_EQ(C.value("dispatch_static"), S.DispatchStatic);
+    EXPECT_EQ(C.value("dispatch_conditional"), S.DispatchConditional);
+    EXPECT_EQ(C.value("dispatch_serial"), S.DispatchSerial);
+    EXPECT_EQ(C.value("dispatch_replay"), S.DispatchReplay);
+    EXPECT_EQ(C.value("vm_loops_compiled"), S.VmLoopsCompiled);
+    EXPECT_EQ(C.value("vm_bailouts"), S.VmBailouts);
+    EXPECT_EQ(S.VmParallelLoopRuns, S.ParallelLoopRuns);
+    EXPECT_EQ(S.VmChunksRun, S.ChunksRun);
+  }
 }
 
 //===----------------------------------------------------------------------===//

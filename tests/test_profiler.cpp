@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Tests for the iaa::prof loop profiler: program results are
-/// bit-identical with profiling on or off across every schedule x
-/// thread-count combination; conditional dispatch outcomes are attributed
-/// per invocation; the profiler's dispatch tiers agree with ExecStats
-/// under the race checker; the invocation cap demotes later invocations to
-/// light (counted, timeline-free) records; the JSONL export round-trips
+/// bit-identical with profiling on or off at every thread count;
+/// conditional dispatch outcomes are attributed per invocation; the
+/// profiler's dispatch tiers agree with ExecStats under the race checker;
+/// the invocation cap demotes later invocations to light (counted,
+/// timeline-free) records; the JSONL export round-trips
 /// through the strict parser and is reproducible run to run; and absent
 /// hardware counters degrade to "perf": null rather than failing.
 ///
@@ -77,9 +77,7 @@ struct Profiled {
 // Observation only: results are bit-identical with profiling on or off
 //===----------------------------------------------------------------------===//
 
-TEST(ProfilerInvariance, ChecksumsBitIdenticalAcrossSchedulesAndThreads) {
-  const Schedule AllSchedules[] = {Schedule::Static, Schedule::Dynamic,
-                                   Schedule::Guided};
+TEST(ProfilerInvariance, ChecksumsBitIdenticalAcrossThreadCounts) {
   const unsigned ThreadCounts[] = {1, 2, 4, 7};
 
   auto P = parseOrDie(benchprogs::fig1aSource());
@@ -89,20 +87,17 @@ TEST(ProfilerInvariance, ChecksumsBitIdenticalAcrossSchedulesAndThreads) {
   std::set<unsigned> Dead = deadPrivateIds(Plan);
   double Want = I.run(ExecOptions{}).checksumExcluding(Dead);
 
-  for (Schedule S : AllSchedules)
-    for (unsigned T : ThreadCounts) {
-      ExecOptions Opts;
-      Opts.Plans = &Plan;
-      Opts.Threads = T;
-      Opts.Sched = S;
-      Opts.MinParallelWork = 0;
-      prof::Session Prof; // Default options, as mfpar --profile uses.
-      Opts.Prof = &Prof;
-      Memory M = I.run(Opts);
-      EXPECT_EQ(M.checksumExcluding(Dead), Want)
-          << "schedule " << scheduleName(S) << ", T=" << T;
-      EXPECT_FALSE(Prof.invocations().empty());
-    }
+  for (unsigned T : ThreadCounts) {
+    ExecOptions Opts;
+    Opts.Plans = &Plan;
+    Opts.Threads = T;
+    Opts.MinParallelWork = 0;
+    prof::Session Prof; // Default options, as mfpar --profile uses.
+    Opts.Prof = &Prof;
+    Memory M = I.run(Opts);
+    EXPECT_EQ(M.checksumExcluding(Dead), Want) << "T=" << T;
+    EXPECT_FALSE(Prof.invocations().empty());
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -256,14 +251,13 @@ TEST(ProfilerDispatch, InvocationCapDemotesToLightRecords) {
 }
 
 TEST(ProfilerDispatch, CancelledDrainClampsTimelineAndImbalance) {
-  // Regression: when a worker's first dynamic poll found the dispenser
-  // already cancelled (a sibling faulted immediately), its timeline
-  // recorded a zero-chunk lane whose dispatch span could exceed the loop
-  // wall, driving StallUs and the aggregated imbalance percentage
-  // negative. Single-iteration dynamic chunks with an every-iteration
-  // parallel-only fault make the cancelled-drain path all but certain;
-  // the pinned invariants must hold regardless of which worker loses the
-  // race.
+  // Regression: when a worker's first poll found the dispenser already
+  // cancelled (a sibling faulted immediately), its timeline recorded a
+  // zero-chunk lane whose dispatch span could exceed the loop wall,
+  // driving StallUs and the aggregated imbalance percentage negative. An
+  // every-iteration parallel-only fault at T=7 faults each worker's first
+  // iteration, so the cancelled-drain path is all but certain; the pinned
+  // invariants must hold regardless of which worker loses the race.
   Profiled H(R"(program t
     integer i, n
     real x(2000)
@@ -283,8 +277,6 @@ TEST(ProfilerDispatch, CancelledDrainClampsTimelineAndImbalance) {
     ExecOptions Opts;
     Opts.Plans = &H.Plan;
     Opts.Threads = 7;
-    Opts.Sched = Schedule::Dynamic;
-    Opts.ChunkSize = 1;
     Opts.MinParallelWork = 0;
     Opts.Injector = &Inj;
     Opts.Prof = &H.S;
@@ -389,10 +381,14 @@ TEST(ProfilerExport, MissingHardwareCountersDegradeToNull) {
 
 /// Strips wall-clock noise from a profiler JSONL dump: every timing value
 /// (any key ending in _us, plus the timing-derived health percentages),
-/// the global chunk-dispatch sequence number (which races across workers
-/// even under a static schedule), and the perf object are zeroed, so two
-/// runs of the same program compare byte-identical iff the dispatch kinds,
-/// iteration ranges and tiers were identical.
+/// the global chunk-dispatch sequence number (which races across workers),
+/// and the perf object are zeroed. The chunk-to-worker assignment is
+/// normalized away too: guided chunks go to whichever worker grabs first,
+/// but the sequence of chunk ranges depends only on the shared cursor. So
+/// each loop record's worker lanes are dropped and its chunk list becomes
+/// the sorted set of its chunk ranges, and two runs of the same program
+/// compare byte-identical iff the dispatch kinds, tiers, iteration ranges
+/// and each invocation's chunk ranges were identical.
 std::string normalizedJsonl(prof::Session &S,
                             const xform::PipelineResult *Plans) {
   std::string Out = S.jsonl(Plans);
@@ -403,7 +399,26 @@ std::string normalizedJsonl(prof::Session &S,
       "\"$1\": 0");
   Out = std::regex_replace(
       Out, std::regex("\"perf\": (null|\\{[^}]*\\})"), "\"perf\": null");
-  return Out;
+  Out = std::regex_replace(Out, std::regex("\"workers\": \\[[^\\]]*\\]"),
+                           "\"workers\": []");
+  const std::regex ChunkList("\"chunks\": \\[([^\\]]*)\\]");
+  const std::regex Range("\"first\": (-?[0-9]+), \"last\": (-?[0-9]+)");
+  std::string Norm;
+  std::smatch M;
+  while (std::regex_search(Out, M, ChunkList)) {
+    std::set<std::pair<long long, long long>> Ranges;
+    std::string List = M[1];
+    for (std::sregex_iterator It(List.begin(), List.end(), Range), End;
+         It != End; ++It)
+      Ranges.insert({std::stoll((*It)[1]), std::stoll((*It)[2])});
+    std::string Sorted;
+    for (const auto &[First, Last] : Ranges)
+      Sorted += (Sorted.empty() ? "[" : ", [") + std::to_string(First) +
+                ", " + std::to_string(Last) + "]";
+    Norm += M.prefix().str() + "\"chunks\": [" + Sorted + "]";
+    Out = M.suffix().str();
+  }
+  return Norm + Out;
 }
 
 const char *DeterminismKernel = R"(program t
@@ -423,8 +438,8 @@ const char *DeterminismKernel = R"(program t
 
 TEST(ProfilerDeterminism, TwoRunsProduceByteIdenticalNormalizedJsonl) {
   // Two fresh sessions over the same program must record the same
-  // dispatch kinds, iteration ranges and tiers. Static schedule keeps
-  // chunk->worker assignment deterministic; timings are normalized away.
+  // dispatch kinds, iteration ranges, tiers and chunk ranges; timings and
+  // the chunk->worker assignment are normalized away.
   prof::SessionOptions O;
   O.HardwareCounters = false;
   std::string Dump[2];

@@ -43,8 +43,6 @@ using iaa::test::parseOrDie;
 
 namespace {
 
-const Schedule AllSchedules[] = {Schedule::Static, Schedule::Dynamic,
-                                 Schedule::Guided};
 const unsigned ThreadCounts[] = {1, 2, 4, 7};
 
 /// Fused CCS build: colcnt is defined in the same body the colptr
@@ -169,13 +167,11 @@ struct Harness {
     return Serial.checksumExcluding(deadPrivateIds(Plan));
   }
 
-  ExecStats runChecked(Memory *OutMem = nullptr, unsigned Threads = 4,
-                       Schedule S = Schedule::Static) {
+  ExecStats runChecked(Memory *OutMem = nullptr, unsigned Threads = 4) {
     Interpreter I(*P);
     ExecOptions Opts;
     Opts.Plans = &Plan;
     Opts.Threads = Threads;
-    Opts.Sched = S;
     Opts.MinParallelWork = 0;
     Opts.RuntimeChecks = true;
     ExecStats Stats;
@@ -583,24 +579,22 @@ TEST(RecurrenceAudit, StrictDemotionRestoresConditionalDispatch) {
 }
 
 //===----------------------------------------------------------------------===//
-// Execution: bit-identical across schedules and thread counts
+// Execution: bit-identical across thread counts
 //===----------------------------------------------------------------------===//
 
-TEST(RecurrenceExec, PromotedLoopsBitIdenticalAcrossSchedulesAndThreads) {
+TEST(RecurrenceExec, PromotedLoopsBitIdenticalAcrossThreadCounts) {
   for (const char *Source : {FusedCcs, PrefixSumScatter}) {
     Harness R(Source);
     double Want = R.serialChecksum();
     std::set<unsigned> Dead = deadPrivateIds(R.Plan);
 
-    for (Schedule S : AllSchedules)
-      for (unsigned T : ThreadCounts) {
-        Memory M(*R.P);
-        ExecStats Stats = R.runChecked(&M, T, S);
-        EXPECT_EQ(M.checksumExcluding(Dead), Want)
-            << "schedule " << scheduleName(S) << ", T=" << T;
-        EXPECT_EQ(Stats.InspectionsRun, 0u);
-        EXPECT_EQ(Stats.RuntimeCheckFails, 0u);
-      }
+    for (unsigned T : ThreadCounts) {
+      Memory M(*R.P);
+      ExecStats Stats = R.runChecked(&M, T);
+      EXPECT_EQ(M.checksumExcluding(Dead), Want) << "T=" << T;
+      EXPECT_EQ(Stats.InspectionsRun, 0u);
+      EXPECT_EQ(Stats.RuntimeCheckFails, 0u);
+    }
   }
 }
 

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Tests for the persistent parallel runtime: the WorkerPool fork/join
-/// primitive, the ChunkDispenser scheduling policies, the empty-chunk
+/// primitive, the ChunkDispenser's guided chunks, the empty-chunk
 /// last-value regression (NIter=6 over T=4 used to write an idle worker's
 /// untouched copy-in privates back to shared memory), and the
 /// division-by-zero array-extent fault.
@@ -85,9 +85,8 @@ TEST(WorkerPool, SingleWorkerRunsInline) {
 /// Drains the dispenser single-threaded (round-robin over workers) and
 /// checks that the chunks exactly partition [Lo, Up] in increasing order,
 /// per worker and globally.
-void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers, Schedule S,
-                      int64_t ChunkSize) {
-  ChunkDispenser D(Lo, Up, Workers, S, ChunkSize);
+void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers) {
+  ChunkDispenser D(Lo, Up, Workers);
   std::set<int64_t> Seen;
   std::vector<int64_t> LastPerWorker(Workers, INT64_MIN);
   unsigned Chunks = 0;
@@ -100,7 +99,7 @@ void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers, Schedule S,
         continue;
       int64_t First, Last;
       unsigned Id;
-      if (!D.next(W, First, Last, Id)) {
+      if (!D.next(First, Last, Id)) {
         Done[W] = true;
         continue;
       }
@@ -123,79 +122,50 @@ void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers, Schedule S,
   EXPECT_EQ(D.chunksDispensed(), Chunks);
 }
 
-TEST(ChunkDispenser, AllSchedulesPartitionExactly) {
-  for (Schedule S : {Schedule::Static, Schedule::Dynamic, Schedule::Guided})
-    for (unsigned T : {1u, 2u, 4u, 7u})
-      for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(3)}) {
-        expectExactCover(1, 6, T, S, ChunkSize);   // The regression shape.
-        expectExactCover(1, 100, T, S, ChunkSize);
-        expectExactCover(5, 5, T, S, ChunkSize);   // Single iteration.
-        expectExactCover(-3, 11, T, S, ChunkSize); // Negative lower bound.
-      }
+TEST(ChunkDispenser, PartitionsExactly) {
+  for (unsigned T : {1u, 2u, 4u, 7u}) {
+    expectExactCover(1, 6, T);   // The regression shape.
+    expectExactCover(1, 100, T);
+    expectExactCover(5, 5, T);   // Single iteration.
+    expectExactCover(-3, 11, T); // Negative lower bound.
+  }
 }
 
-TEST(ChunkDispenser, GuidedFloorTailNeverOvershootsOrStarves) {
-  // The guided tail has two edges worth pinning: a chunk floor larger
-  // than what remains (ChunkSize = NIter + 1) must clamp to the
-  // remainder rather than dispense past Up, and a Remaining/Workers
-  // quotient of zero must still drain every last iteration instead of
-  // starving the trailing workers. expectExactCover checks both (no
+TEST(ChunkDispenser, GuidedTailNeverStarves) {
+  // Once fewer iterations remain than workers, Remaining/Workers is zero;
+  // the floor of 1 must still drain every last iteration instead of
+  // starving the trailing workers. expectExactCover checks it (no
   // duplicates, no gaps, max dispensed iteration == Up).
-  const int64_t Lo = 1, Up = 37; // NIter = 37, prime-ish tail shapes.
-  for (unsigned T : {1u, 2u, 4u, 7u})
-    for (int64_t ChunkSize :
-         {int64_t(0), int64_t(1), int64_t(5), int64_t(Up - Lo + 2)})
-      expectExactCover(Lo, Up, T, Schedule::Guided, ChunkSize);
-  // Same sweep on a space smaller than the worker count.
-  for (unsigned T : {1u, 2u, 4u, 7u})
-    for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(5), int64_t(4)})
-      expectExactCover(1, 3, T, Schedule::Guided, ChunkSize);
+  for (unsigned T : {1u, 2u, 4u, 7u}) {
+    expectExactCover(1, 37, T); // NIter = 37, prime-ish tail shapes.
+    expectExactCover(1, 3, T);  // A space smaller than the worker count.
+  }
 }
 
 TEST(ChunkDispenser, ZeroTripSpaceDispensesNothing) {
-  // Up < Lo (a zero- or negative-trip do loop): every policy must dispense
-  // nothing, count zero chunks, and stay well-defined under arbitrarily
-  // many repeated polls from every worker — the dynamic policy used to
-  // advance its shared cursor on each exhausted poll.
+  // Up < Lo (a zero- or negative-trip do loop): the dispenser must
+  // dispense nothing, count zero chunks, and stay well-defined under
+  // arbitrarily many repeated polls — an exhausted poll must not advance
+  // the shared cursor.
   const std::pair<int64_t, int64_t> EmptyBounds[] = {{1, 0}, {5, 1}, {0, -3}};
-  for (Schedule S : {Schedule::Static, Schedule::Dynamic, Schedule::Guided})
-    for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(5)})
-      for (auto [Lo, Up] : EmptyBounds) {
-        ChunkDispenser D(Lo, Up, 3, S, ChunkSize);
-        int64_t First, Last;
-        unsigned Id;
-        for (int Poll = 0; Poll < 100; ++Poll)
-          for (unsigned W = 0; W < 3; ++W)
-            EXPECT_FALSE(D.next(W, First, Last, Id))
-                << scheduleName(S) << " [" << Lo << ", " << Up
-                << "] chunk=" << ChunkSize;
-        EXPECT_EQ(D.chunksDispensed(), 0u);
-      }
-}
-
-TEST(ChunkDispenser, StaticCeilSplitLeavesTrailingWorkersEmpty) {
-  // NIter=6, T=4: ceil(6/4)=2 → workers 0..2 get two iterations, worker 3
-  // gets nothing. This is the decomposition behind the last-value bug.
-  ChunkDispenser D(1, 6, 4, Schedule::Static, 0);
-  int64_t First, Last;
-  unsigned Id;
-  ASSERT_TRUE(D.next(0, First, Last, Id));
-  EXPECT_EQ(First, 1);
-  EXPECT_EQ(Last, 2);
-  ASSERT_TRUE(D.next(2, First, Last, Id));
-  EXPECT_EQ(First, 5);
-  EXPECT_EQ(Last, 6);
-  EXPECT_FALSE(D.next(3, First, Last, Id)) << "worker 3's chunk is empty";
-  EXPECT_FALSE(D.next(2, First, Last, Id));
-  EXPECT_EQ(D.chunksDispensed(), 2u) << "only non-empty chunks count";
+  for (auto [Lo, Up] : EmptyBounds) {
+    ChunkDispenser D(Lo, Up, 3);
+    int64_t First, Last;
+    unsigned Id;
+    for (int Poll = 0; Poll < 300; ++Poll)
+      EXPECT_FALSE(D.next(First, Last, Id)) << "[" << Lo << ", " << Up << "]";
+    EXPECT_EQ(D.chunksDispensed(), 0u);
+  }
 }
 
 TEST(ChunkDispenser, GuidedChunksShrink) {
-  ChunkDispenser D(1, 1000, 4, Schedule::Guided, 0);
+  ChunkDispenser D(1, 1000, 4);
   int64_t First, Last;
   unsigned Id;
-  int64_t PrevSize = INT64_MAX;
-  while (D.next(0, First, Last, Id)) {
+  ASSERT_TRUE(D.next(First, Last, Id));
+  EXPECT_EQ(Last - First + 1, 250) << "the first grab takes remaining / T";
+  int64_t PrevSize = 250;
+  while (D.next(First, Last, Id)) {
     int64_t Size = Last - First + 1;
     EXPECT_LE(Size, PrevSize) << "guided chunks must not grow";
     PrevSize = Size;
@@ -203,26 +173,14 @@ TEST(ChunkDispenser, GuidedChunksShrink) {
   EXPECT_EQ(PrevSize, 1) << "guided drains down to the floor";
 }
 
-TEST(ChunkDispenser, DynamicRespectsExplicitChunkSize) {
-  ChunkDispenser D(1, 10, 2, Schedule::Dynamic, 4);
-  int64_t First, Last;
-  unsigned Id;
-  ASSERT_TRUE(D.next(0, First, Last, Id));
-  EXPECT_EQ(Last - First + 1, 4);
-  ASSERT_TRUE(D.next(1, First, Last, Id));
-  EXPECT_EQ(Last - First + 1, 4);
-  ASSERT_TRUE(D.next(0, First, Last, Id));
-  EXPECT_EQ(Last - First + 1, 2) << "tail chunk is clipped to Up";
-  EXPECT_FALSE(D.next(0, First, Last, Id));
-}
-
 //===----------------------------------------------------------------------===//
 // Empty-chunk last-value regression (the headline bug)
 //===----------------------------------------------------------------------===//
 
-// NIter=6 over T=4: the static ceil split hands worker 3 an empty chunk.
-// The pre-rework runtime unconditionally wrote worker T-1's privates back,
-// so `tmp` and `w` ended up with the idle worker's untouched copy-in (the
+// NIter=6 over T=4: guided hands out six 1-iteration chunks, and whichever
+// workers wake first take them, so a worker can finish with none. The
+// pre-rework runtime unconditionally wrote worker T-1's privates back, so
+// `tmp` and `w` ended up with an idle worker's untouched copy-in (the
 // pre-loop zeros) instead of iteration 6's values.
 const char *LastValueSource = R"(program t
   integer i, j, n, tmp
@@ -253,46 +211,48 @@ TEST(LastValue, EmptyChunkDoesNotCorruptPrivates) {
   Interpreter I(*P);
   ExecOptions Par;
   Par.Plans = &Plan;
-  Par.Threads = 4; // ceil(6/4)=2 → three non-empty chunks, one idle worker.
+  Par.Threads = 4;
   Par.MinParallelWork = 0;
-  ExecStats Stats;
-  Memory M = I.run(Par, &Stats);
+  // Which worker runs which chunk varies from run to run, so repeat the
+  // run: the final iteration's owner and the idle workers move around.
+  for (int Run = 0; Run < 50; ++Run) {
+    ExecStats Stats;
+    Memory M = I.run(Par, &Stats);
 
-  EXPECT_EQ(Stats.ParallelLoopRuns, 1u);
-  EXPECT_EQ(Stats.ChunksRun, 3u)
-      << "ChunksRun must count only non-empty chunks";
-  EXPECT_EQ(Stats.WorkersEngaged, 3u)
-      << "the fourth worker never ran an iteration";
+    EXPECT_EQ(Stats.ParallelLoopRuns, 1u);
+    EXPECT_EQ(Stats.ChunksRun, 6u)
+        << "six 1-iteration chunks, never an empty one";
+    EXPECT_LE(Stats.WorkersEngaged, 4u);
 
-  const Buffer &Fin = M.buffer(P->findSymbol("fin"));
-  EXPECT_EQ(Fin.I[0], 18) << "privatized scalar: last value is iteration 6's";
-  EXPECT_EQ(Fin.I[1], 7) << "do index is ub+1 after the loop";
-  EXPECT_EQ(Fin.I[2], 61) << "privatized array: last value is iteration 6's";
-  EXPECT_EQ(Fin.I[3], 63);
-  const Buffer &Out = M.buffer(P->findSymbol("out"));
-  for (int64_t It = 1; It <= 6; ++It)
-    EXPECT_EQ(Out.I[It - 1], It * 3 + It * 10 + 1) << "iteration " << It;
+    const Buffer &Fin = M.buffer(P->findSymbol("fin"));
+    EXPECT_EQ(Fin.I[0], 18)
+        << "privatized scalar: last value is iteration 6's";
+    EXPECT_EQ(Fin.I[1], 7) << "do index is ub+1 after the loop";
+    EXPECT_EQ(Fin.I[2], 61)
+        << "privatized array: last value is iteration 6's";
+    EXPECT_EQ(Fin.I[3], 63);
+    const Buffer &Out = M.buffer(P->findSymbol("out"));
+    for (int64_t It = 1; It <= 6; ++It)
+      EXPECT_EQ(Out.I[It - 1], It * 3 + It * 10 + 1) << "iteration " << It;
+  }
 }
 
-TEST(LastValue, MatchesSerialUnderEverySchedule) {
+TEST(LastValue, MatchesSerialThreadedAndSimulated) {
   auto P = parseOrDie(LastValueSource);
   xform::PipelineResult Plan =
       xform::parallelize(*P, xform::PipelineMode::Full);
   Interpreter I(*P);
   Memory Serial = I.run(ExecOptions{});
   double Want = Serial.checksum();
-  for (Schedule S : {Schedule::Static, Schedule::Dynamic, Schedule::Guided})
-    for (bool Simulate : {false, true}) {
-      ExecOptions Par;
-      Par.Plans = &Plan;
-      Par.Threads = 4;
-      Par.MinParallelWork = 0;
-      Par.Sched = S;
-      Par.Simulate = Simulate;
-      Memory M = I.run(Par);
-      EXPECT_EQ(M.checksum(), Want)
-          << scheduleName(S) << (Simulate ? " simulated" : " threaded");
-    }
+  for (bool Simulate : {false, true}) {
+    ExecOptions Par;
+    Par.Plans = &Plan;
+    Par.Threads = 4;
+    Par.MinParallelWork = 0;
+    Par.Simulate = Simulate;
+    Memory M = I.run(Par);
+    EXPECT_EQ(M.checksum(), Want) << (Simulate ? "simulated" : "threaded");
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -40,8 +40,6 @@ using iaa::test::parseOrDie;
 
 namespace {
 
-const Schedule AllSchedules[] = {Schedule::Static, Schedule::Dynamic,
-                                 Schedule::Guided};
 const unsigned ThreadCounts[] = {1, 2, 4, 7};
 
 /// Gather/scatter whose index array is a permutation of 1..n at run time
@@ -123,13 +121,11 @@ struct Harness {
   }
 
   /// Runs with runtime checks enabled and returns the stats.
-  ExecStats runChecked(Memory *OutMem = nullptr, unsigned Threads = 4,
-                       Schedule S = Schedule::Static) {
+  ExecStats runChecked(Memory *OutMem = nullptr, unsigned Threads = 4) {
     Interpreter I(*P);
     ExecOptions Opts;
     Opts.Plans = &Plan;
     Opts.Threads = Threads;
-    Opts.Sched = S;
     Opts.MinParallelWork = 0;
     Opts.RuntimeChecks = true;
     ExecStats Stats;
@@ -210,20 +206,18 @@ TEST(RuntimeCheckExec, PermutationRunsParallelBitIdentical) {
   double Want = R.serialChecksum();
   std::set<unsigned> Dead = deadPrivateIds(R.Plan);
 
-  for (Schedule S : AllSchedules)
-    for (unsigned T : ThreadCounts) {
-      Memory M(*R.P);
-      ExecStats Stats = R.runChecked(&M, T, S);
-      EXPECT_EQ(M.checksumExcluding(Dead), Want)
-          << "schedule " << scheduleName(S) << ", T=" << T;
-      EXPECT_EQ(Stats.RuntimeCheckFails, 0u)
-          << (Stats.RuntimeDecisions.empty()
-                  ? std::string()
-                  : Stats.RuntimeDecisions.front().str());
-      EXPECT_GE(Stats.InspectionsRun, 1u);
-      EXPECT_GE(Stats.ParallelLoopRuns, 1u)
-          << "passing inspection must license parallel dispatch";
-    }
+  for (unsigned T : ThreadCounts) {
+    Memory M(*R.P);
+    ExecStats Stats = R.runChecked(&M, T);
+    EXPECT_EQ(M.checksumExcluding(Dead), Want) << "T=" << T;
+    EXPECT_EQ(Stats.RuntimeCheckFails, 0u)
+        << (Stats.RuntimeDecisions.empty()
+                ? std::string()
+                : Stats.RuntimeDecisions.front().str());
+    EXPECT_GE(Stats.InspectionsRun, 1u);
+    EXPECT_GE(Stats.ParallelLoopRuns, 1u)
+        << "passing inspection must license parallel dispatch";
+  }
 }
 
 TEST(RuntimeCheckExec, CcsRunsParallelBitIdentical) {
@@ -231,14 +225,12 @@ TEST(RuntimeCheckExec, CcsRunsParallelBitIdentical) {
   double Want = R.serialChecksum();
   std::set<unsigned> Dead = deadPrivateIds(R.Plan);
 
-  for (Schedule S : AllSchedules)
-    for (unsigned T : ThreadCounts) {
-      Memory M(*R.P);
-      ExecStats Stats = R.runChecked(&M, T, S);
-      EXPECT_EQ(M.checksumExcluding(Dead), Want)
-          << "schedule " << scheduleName(S) << ", T=" << T;
-      EXPECT_EQ(Stats.RuntimeCheckFails, 0u);
-    }
+  for (unsigned T : ThreadCounts) {
+    Memory M(*R.P);
+    ExecStats Stats = R.runChecked(&M, T);
+    EXPECT_EQ(M.checksumExcluding(Dead), Want) << "T=" << T;
+    EXPECT_EQ(Stats.RuntimeCheckFails, 0u);
+  }
 }
 
 TEST(RuntimeCheckExec, DuplicateIndexFallsBackSerial) {
@@ -384,7 +376,7 @@ TEST(RuntimeCheckCache, WriteToSegmentLengthArrayInvalidates) {
   double Want = R.serialChecksum();
 
   Memory M(*R.P);
-  ExecStats Stats = R.runChecked(&M, 4, Schedule::Static);
+  ExecStats Stats = R.runChecked(&M, 4);
   EXPECT_EQ(M.checksumExcluding(deadPrivateIds(R.Plan)), Want);
   EXPECT_EQ(Stats.InspectionsRun, 2u)
       << "widening seglen must force re-inspection even though the "
@@ -425,7 +417,7 @@ TEST(RuntimeCheckCache, UntouchedSegmentLengthArrayStillHits) {
   double Want = R.serialChecksum();
 
   Memory M(*R.P);
-  ExecStats Stats = R.runChecked(&M, 4, Schedule::Static);
+  ExecStats Stats = R.runChecked(&M, 4);
   EXPECT_EQ(M.checksumExcluding(deadPrivateIds(R.Plan)), Want);
   EXPECT_EQ(Stats.InspectionsRun, 1u);
   EXPECT_EQ(Stats.InspectionsCached, 1u);

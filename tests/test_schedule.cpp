@@ -1,16 +1,15 @@
-//===- tests/test_schedule.cpp - Schedule equivalence suite ---------------===//
+//===- tests/test_schedule.cpp - Loop-schedule equivalence suite ----------===//
 //
 // Part of the IAA project, an open-source reproduction of
 // "Compiler Analysis of Irregular Memory Accesses" (Lin & Padua, PLDI 2000).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Every scheduling policy must compute exactly what the serial loop
+/// The guided dispenser must compute exactly what the serial loop
 /// computes: for each Fig. 16 benchmark kernel the memory checksum is
-/// bit-identical across {serial, static, dynamic, guided} x T in
-/// {1, 2, 4, 7} (7 deliberately does not divide the common trip counts, so
-/// ceil splits produce ragged and empty chunks), in both threaded and
-/// simulated execution, including scalar-reduction loops.
+/// bit-identical across serial and T in {1, 2, 4, 7} (7 deliberately does
+/// not divide the common trip counts, so chunks come out ragged), in both
+/// threaded and simulated execution, including scalar-reduction loops.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,47 +27,41 @@ using iaa::test::parseOrDie;
 
 namespace {
 
-const Schedule AllSchedules[] = {Schedule::Static, Schedule::Dynamic,
-                                 Schedule::Guided};
 const unsigned ThreadCounts[] = {1, 2, 4, 7};
 
-/// Runs \p P under every schedule x thread-count combination and asserts
-/// the checksum (excluding dead privatized arrays) equals the serial run's
-/// bit for bit.
-void expectScheduleEquivalence(const mf::Program &P,
-                               const xform::PipelineResult &Plan,
-                               const std::string &Name,
-                               int64_t MinParallelWork = 0) {
+/// Runs \p P at every thread count and asserts the checksum (excluding dead
+/// privatized arrays) equals the serial run's bit for bit.
+void expectSerialEquivalence(const mf::Program &P,
+                             const xform::PipelineResult &Plan,
+                             const std::string &Name,
+                             int64_t MinParallelWork = 0) {
   Interpreter I(P);
   Memory Serial = I.run(ExecOptions{});
   std::set<unsigned> Dead = deadPrivateIds(Plan);
   double Want = Serial.checksumExcluding(Dead);
 
-  for (Schedule S : AllSchedules)
-    for (unsigned T : ThreadCounts) {
-      ExecOptions Par;
-      Par.Plans = &Plan;
-      Par.Threads = T;
-      Par.Sched = S;
-      Par.MinParallelWork = MinParallelWork;
-      ExecStats Stats;
-      Memory M = I.run(Par, &Stats);
-      EXPECT_EQ(M.checksumExcluding(Dead), Want)
-          << Name << ": schedule " << scheduleName(S) << ", T=" << T;
-      EXPECT_GE(Stats.ChunksRun, Stats.WorkersEngaged)
-          << Name << ": every engaged worker ran at least one chunk";
-    }
+  for (unsigned T : ThreadCounts) {
+    ExecOptions Par;
+    Par.Plans = &Plan;
+    Par.Threads = T;
+    Par.MinParallelWork = MinParallelWork;
+    ExecStats Stats;
+    Memory M = I.run(Par, &Stats);
+    EXPECT_EQ(M.checksumExcluding(Dead), Want) << Name << ", T=" << T;
+    EXPECT_GE(Stats.ChunksRun, Stats.WorkersEngaged)
+        << Name << ": every engaged worker ran at least one chunk";
+  }
 }
 
 class ScheduleEquiv : public ::testing::TestWithParam<int> {};
 
-TEST_P(ScheduleEquiv, ChecksumBitIdenticalAcrossSchedules) {
+TEST_P(ScheduleEquiv, ChecksumBitIdenticalAcrossThreadCounts) {
   auto All = benchprogs::allBenchmarks(/*Scale=*/0.08);
   const benchprogs::BenchmarkProgram &B = All[GetParam()];
   auto P = parseOrDie(B.Source);
   xform::PipelineResult Plan =
       xform::parallelize(*P, xform::PipelineMode::Full);
-  expectScheduleEquivalence(*P, Plan, B.Name);
+  expectSerialEquivalence(*P, Plan, B.Name);
 }
 
 std::string benchCaseName(const ::testing::TestParamInfo<int> &Info) {
@@ -81,8 +74,7 @@ INSTANTIATE_TEST_SUITE_P(Fig16Kernels, ScheduleEquiv,
 
 TEST(ScheduleEquivExtra, ReductionLoop) {
   // A scalar sum reduction with a dyadic-exact increment: per-worker
-  // partials must merge to the serial sum under every schedule, for every
-  // chunk decomposition.
+  // partials must merge to the serial sum for every chunk decomposition.
   auto P = parseOrDie(R"(program t
     integer i, n
     real s
@@ -100,38 +92,12 @@ TEST(ScheduleEquivExtra, ReductionLoop) {
       xform::parallelize(*P, xform::PipelineMode::Full);
   ASSERT_NE(Plan.reportFor("red"), nullptr);
   ASSERT_TRUE(Plan.reportFor("red")->Parallel);
-  expectScheduleEquivalence(*P, Plan, "reduction");
+  expectSerialEquivalence(*P, Plan, "reduction");
 }
 
-TEST(ScheduleEquivExtra, ExplicitChunkSizes) {
-  // Chunk sizes that do and do not divide the trip count, under every
-  // policy, must not change the result either.
-  auto All = benchprogs::allBenchmarks(/*Scale=*/0.05);
-  auto P = parseOrDie(All[4].Source); // TREE: array stacks + reductions.
-  xform::PipelineResult Plan =
-      xform::parallelize(*P, xform::PipelineMode::Full);
-  Interpreter I(*P);
-  Memory Serial = I.run(ExecOptions{});
-  std::set<unsigned> Dead = deadPrivateIds(Plan);
-  double Want = Serial.checksumExcluding(Dead);
-  for (Schedule S : AllSchedules)
-    for (int64_t Chunk : {1, 3, 64}) {
-      ExecOptions Par;
-      Par.Plans = &Plan;
-      Par.Threads = 4;
-      Par.Sched = S;
-      Par.ChunkSize = Chunk;
-      Par.MinParallelWork = 0;
-      Memory M = I.run(Par);
-      EXPECT_EQ(M.checksumExcluding(Dead), Want)
-          << scheduleName(S) << " chunk=" << Chunk;
-    }
-}
-
-TEST(ScheduleEquivExtra, SimulateModelsTheSameSchedule) {
+TEST(ScheduleEquivExtra, SimulateModelsTheDispenser) {
   // Simulated execution must produce the same memory state as the serial
-  // run under every schedule (it models the dispenser, not just a ceil
-  // split).
+  // run (it models the dispenser by list scheduling on virtual clocks).
   auto All = benchprogs::allBenchmarks(/*Scale=*/0.05);
   for (int Which : {1, 3}) { // DYFESM, P3M.
     auto P = parseOrDie(All[Which].Source);
@@ -140,17 +106,14 @@ TEST(ScheduleEquivExtra, SimulateModelsTheSameSchedule) {
     Interpreter I(*P);
     Memory Serial = I.run(ExecOptions{});
     std::set<unsigned> Dead = deadPrivateIds(Plan);
-    for (Schedule S : AllSchedules) {
-      ExecOptions Par;
-      Par.Plans = &Plan;
-      Par.Threads = 7;
-      Par.Sched = S;
-      Par.Simulate = true;
-      Par.MinParallelWork = 0;
-      Memory M = I.run(Par);
-      EXPECT_EQ(M.checksumExcluding(Dead), Serial.checksumExcluding(Dead))
-          << All[Which].Name << " simulated " << scheduleName(S);
-    }
+    ExecOptions Par;
+    Par.Plans = &Plan;
+    Par.Threads = 7;
+    Par.Simulate = true;
+    Par.MinParallelWork = 0;
+    Memory M = I.run(Par);
+    EXPECT_EQ(M.checksumExcluding(Dead), Serial.checksumExcluding(Dead))
+        << All[Which].Name << " simulated";
   }
 }
 

@@ -8,7 +8,7 @@
 /// The bytecode engine end to end, with the plan-free serial tree walk as
 /// the differential oracle: --engine=both runs every program twice and
 /// demands bit-identical final-memory checksums (or matching fault kinds),
-/// across every schedule x thread-count combination, on the Fig. 16
+/// at every thread count, on the Fig. 16
 /// benchmark reconstructions and Fig. 1(a)'s while loop, the
 /// recurrence-promoted kernels, conditional-dispatch loops (inspection pass
 /// and fail), and a mid-chunk fault with rollback + serial replay.
@@ -43,8 +43,6 @@ using iaa::test::parseOrDie;
 
 namespace {
 
-const Schedule AllSchedules[] = {Schedule::Static, Schedule::Dynamic,
-                                 Schedule::Guided};
 const unsigned ThreadCounts[] = {1, 2, 4, 7};
 
 /// The recurrence-promoted kernels of test_recurrence.cpp: a fused CCS
@@ -144,11 +142,10 @@ struct Harness {
     return I.faultState().Fault;
   }
 
-  ExecOptions baseOptions(unsigned T, Schedule S, ExecEngine E) {
+  ExecOptions baseOptions(unsigned T, ExecEngine E) {
     ExecOptions Opts;
     Opts.Plans = &Plan;
     Opts.Threads = T;
-    Opts.Sched = S;
     Opts.MinParallelWork = 0;
     Opts.RuntimeChecks = true;
     Opts.Engine = E;
@@ -156,10 +153,10 @@ struct Harness {
   }
 
   /// Runs under --engine=both and asserts the oracle saw no divergence.
-  ExecStats runBoth(unsigned T, Schedule S, const std::string &Ctx) {
+  ExecStats runBoth(unsigned T, const std::string &Ctx) {
     Interpreter I(*P);
     ExecStats Stats;
-    I.run(baseOptions(T, S, ExecEngine::Both), &Stats);
+    I.run(baseOptions(T, ExecEngine::Both), &Stats);
     EXPECT_FALSE(I.faultState().Faulted) << Ctx << ": "
                                          << I.faultState().str();
     EXPECT_EQ(Stats.BothComparisons, 1u) << Ctx;
@@ -335,7 +332,7 @@ TEST(VmCompile, PlansMarkEligibility) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential oracle: benchmarks x schedules x thread counts
+// Differential oracle: benchmarks x thread counts
 //===----------------------------------------------------------------------===//
 
 TEST(VmDifferential, Fig16BenchmarksBitIdenticalEverywhere) {
@@ -348,48 +345,40 @@ TEST(VmDifferential, Fig16BenchmarksBitIdenticalEverywhere) {
   Programs.push_back({"fig1a", benchprogs::fig1aSource(), {"dok"}, {}});
   for (const auto &B : Programs) {
     Harness H(B.Source);
-    for (Schedule S : AllSchedules)
-      for (unsigned T : ThreadCounts) {
-        std::string Ctx = B.Name + "/" + scheduleName(S) +
-                          "/T=" + std::to_string(T);
-        ExecStats Stats = H.runBoth(T, S, Ctx);
-        EXPECT_EQ(Stats.VmBailouts, 0u) << Ctx;
-        EXPECT_GT(Stats.VmParallelLoopRuns, 0u)
-            << Ctx << ": the VM engine never engaged";
-        EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns)
-            << Ctx << ": a dispatched loop ran off the VM";
-      }
+    for (unsigned T : ThreadCounts) {
+      std::string Ctx = B.Name + "/T=" + std::to_string(T);
+      ExecStats Stats = H.runBoth(T, Ctx);
+      EXPECT_EQ(Stats.VmBailouts, 0u) << Ctx;
+      EXPECT_GT(Stats.VmParallelLoopRuns, 0u)
+          << Ctx << ": the VM engine never engaged";
+      EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns)
+          << Ctx << ": a dispatched loop ran off the VM";
+    }
   }
 }
 
 TEST(VmDifferential, RecurrencePromotedKernels) {
   for (const char *Source : {FusedCcs, PrefixSumScatter}) {
     Harness H(Source);
-    for (Schedule S : AllSchedules)
-      for (unsigned T : ThreadCounts) {
-        std::string Ctx = std::string(Source == FusedCcs ? "ccs" : "psum") +
-                          "/" + scheduleName(S) + "/T=" + std::to_string(T);
-        H.runBoth(T, S, Ctx);
-      }
+    for (unsigned T : ThreadCounts)
+      H.runBoth(T, std::string(Source == FusedCcs ? "ccs" : "psum") +
+                       "/T=" + std::to_string(T));
   }
 }
 
 TEST(VmDifferential, ConditionalDispatchPassAndFail) {
   {
     Harness H(PermutationScatter);
-    for (Schedule S : AllSchedules)
-      for (unsigned T : ThreadCounts) {
-        ExecStats Stats =
-            H.runBoth(T, S, std::string("perm/") + scheduleName(S) +
-                                "/T=" + std::to_string(T));
-        EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
-      }
+    for (unsigned T : ThreadCounts) {
+      ExecStats Stats = H.runBoth(T, "perm/T=" + std::to_string(T));
+      EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
+    }
   }
   {
     // Failed inspection: the scatter never dispatches, so it runs on the
     // tree walk — and must still agree bit for bit with the reference.
     Harness H(DuplicateScatter);
-    ExecStats Stats = H.runBoth(4, Schedule::Static, "dup");
+    ExecStats Stats = H.runBoth(4, "dup");
     EXPECT_GT(Stats.RuntimeCheckFails, 0u);
   }
 }
@@ -414,7 +403,7 @@ TEST(VmEngine, VmEngineCompilesOncePerLoop) {
   Harness H(PermutationScatter);
   Interpreter I(*H.P);
   ExecStats Stats;
-  Memory M = I.run(H.baseOptions(4, Schedule::Static, ExecEngine::Vm), &Stats);
+  Memory M = I.run(H.baseOptions(4, ExecEngine::Vm), &Stats);
   ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
   EXPECT_GT(Stats.VmLoopsCompiled, 0u);
   EXPECT_GT(Stats.VmChunksRun, 0u);
@@ -481,7 +470,7 @@ TEST(VmEngine, UnsupportedBodyFallsBackPerLoop) {
   double Want = H.serialChecksum();
   Interpreter I(*H.P);
   ExecStats Stats;
-  Memory M = I.run(H.baseOptions(4, Schedule::Static, ExecEngine::Vm), &Stats);
+  Memory M = I.run(H.baseOptions(4, ExecEngine::Vm), &Stats);
   ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
   EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want);
   EXPECT_GT(Stats.VmBailouts, 0u);
@@ -512,23 +501,20 @@ TEST(VmFault, MidChunkFaultRollsBackAndReplays) {
     end do
   end)");
   double Want = H.serialChecksum();
-  for (Schedule S : AllSchedules) {
-    verify::FaultInjector Inj;
-    Inj.faultAt("lp", 1000, /*ParallelOnly=*/true);
-    Interpreter I(*H.P);
-    ExecOptions Opts = H.baseOptions(4, S, ExecEngine::Vm);
-    Opts.Injector = &Inj;
-    ExecStats Stats;
-    Memory M = I.run(Opts, &Stats);
-    const FaultState &FS = I.faultState();
-    EXPECT_FALSE(FS.Faulted) << scheduleName(S) << ": " << FS.str();
-    EXPECT_EQ(FS.Rollbacks, 1u) << scheduleName(S);
-    EXPECT_EQ(FS.ReplaysRecovered, 1u) << scheduleName(S);
-    EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want)
-        << scheduleName(S);
-    EXPECT_GT(Stats.VmParallelLoopRuns, 0u) << scheduleName(S);
-    EXPECT_EQ(Stats.DispatchReplay, 1u) << scheduleName(S);
-  }
+  verify::FaultInjector Inj;
+  Inj.faultAt("lp", 1000, /*ParallelOnly=*/true);
+  Interpreter I(*H.P);
+  ExecOptions Opts = H.baseOptions(4, ExecEngine::Vm);
+  Opts.Injector = &Inj;
+  ExecStats Stats;
+  Memory M = I.run(Opts, &Stats);
+  const FaultState &FS = I.faultState();
+  EXPECT_FALSE(FS.Faulted) << FS.str();
+  EXPECT_EQ(FS.Rollbacks, 1u);
+  EXPECT_EQ(FS.ReplaysRecovered, 1u);
+  EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want);
+  EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
+  EXPECT_EQ(Stats.DispatchReplay, 1u);
 }
 
 TEST(VmFault, GenuineFaultIdenticalAttributionAcrossEngines) {
@@ -554,7 +540,7 @@ TEST(VmFault, GenuineFaultIdenticalAttributionAcrossEngines) {
   verify::FaultInjector Inj;
   Inj.skipInspectionOf("scat");
   Interpreter I(*H.P);
-  ExecOptions Opts = H.baseOptions(4, Schedule::Static, ExecEngine::Vm);
+  ExecOptions Opts = H.baseOptions(4, ExecEngine::Vm);
   Opts.Injector = &Inj;
   ExecStats Stats;
   I.run(Opts, &Stats);
@@ -606,7 +592,7 @@ const char *WhileOutOfBounds = R"(program t
 /// replay.
 RuntimeFault reportedFault(Harness &H, ExecStats &Stats) {
   Interpreter I(*H.P);
-  ExecOptions Opts = H.baseOptions(4, Schedule::Static, ExecEngine::Vm);
+  ExecOptions Opts = H.baseOptions(4, ExecEngine::Vm);
   Opts.OnFault = FaultAction::Report;
   I.run(Opts, &Stats);
   const FaultState &FS = I.faultState();
@@ -706,7 +692,7 @@ double deadlineOvershootMs(const char *Source) {
   EXPECT_TRUE(Rep && Rep->Parallel) << (Rep ? Rep->WhyNot : "no report");
   CancelToken Token;
   Interpreter I(*H.P);
-  ExecOptions Opts = H.baseOptions(4, Schedule::Static, ExecEngine::Vm);
+  ExecOptions Opts = H.baseOptions(4, ExecEngine::Vm);
   Opts.Cancel = &Token;
   ExecStats Stats;
   std::chrono::steady_clock::time_point Fired;

@@ -98,7 +98,8 @@ static void collectSymbols(const SymExpr &E, UseSet &Out) {
 //===----------------------------------------------------------------------===//
 
 std::optional<std::pair<SymExpr, SymExpr>>
-ClosedFormDistanceChecker::matchRecurrence(const AssignStmt *S) const {
+ClosedFormDistanceChecker::matchRecurrence(const Symbol *Target,
+                                           const AssignStmt *S) {
   const mf::ArrayRef *LHS = S->arrayTarget();
   if (!LHS || LHS->array() != Target || LHS->rank() != 1)
     return std::nullopt;
@@ -137,7 +138,7 @@ Effect ClosedFormDistanceChecker::summarizeAssign(const AssignStmt *S) {
     return Effect::none();
   }
 
-  if (auto Match = matchRecurrence(S)) {
+  if (auto Match = matchRecurrence(Target, S)) {
     const auto &[Pos, D] = *Match;
     SymExpr Expected =
         Distance.substituteVar(placeholderSymbol(), Pos);
@@ -195,18 +196,13 @@ UseSet ClosedFormDistanceChecker::factDependencies() const {
 std::optional<SymExpr>
 ClosedFormDistanceChecker::discoverDistance(const Program &P,
                                             const Symbol *Target) {
-  // A throwaway checker instance gives access to the matcher; the Distance
-  // member is unused during discovery.
-  SymbolUses Uses(P);
-  ClosedFormDistanceChecker Probe(Target, SymExpr(), Uses);
-
   std::optional<SymExpr> Discovered;
   bool Consistent = true;
   P.forEachStmt([&](Stmt *S) {
     const auto *AS = dyn_cast<AssignStmt>(S);
     if (!AS || !Consistent)
       return;
-    auto Match = Probe.matchRecurrence(AS);
+    auto Match = matchRecurrence(Target, AS);
     if (!Match)
       return;
     const auto &[Pos, D] = *Match;

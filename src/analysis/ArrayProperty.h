@@ -156,9 +156,10 @@ public:
   static bool hasConstantBase(const mf::Program &P, const mf::Symbol *Target);
 
 private:
-  /// Matches `x(e+1) = x(e) + d` and returns (position e, distance at e).
-  std::optional<std::pair<sym::SymExpr, sym::SymExpr>>
-  matchRecurrence(const mf::AssignStmt *S) const;
+  /// Matches `x(e+1) = x(e) + d` for x = \p Target and returns (position e,
+  /// distance at e).
+  static std::optional<std::pair<sym::SymExpr, sym::SymExpr>>
+  matchRecurrence(const mf::Symbol *Target, const mf::AssignStmt *S);
 
   sym::SymExpr Distance;
   UseSet ConsumedDeps;

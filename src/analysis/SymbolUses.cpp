@@ -7,9 +7,14 @@
 
 #include "analysis/SymbolUses.h"
 
+#include "support/Statistic.h"
+
 using namespace iaa;
 using namespace iaa::analysis;
 using namespace iaa::mf;
+
+#define IAA_STAT_GROUP "uses"
+IAA_STAT(uses_program_summaries, "Whole-program symbol-use summaries built");
 
 void SymbolUses::exprReads(const Expr *E, UseSet &Out) {
   switch (E->kind()) {
@@ -39,6 +44,7 @@ void SymbolUses::exprReads(const Expr *E, UseSet &Out) {
 }
 
 SymbolUses::SymbolUses(const Program &P) {
+  ++uses_program_summaries;
   // Procedures may call each other (non-recursively); iterate until the
   // transitive sets stabilize. MF programs are small, so a simple fixpoint
   // is fine.

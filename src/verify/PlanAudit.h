@@ -48,6 +48,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace iaa {
@@ -123,8 +124,9 @@ struct AuditResult {
 };
 
 /// The auditor. Builds its own HCG, symbol-use summaries, constant table,
-/// and property solver over \p P — nothing is shared with the pipeline that
-/// produced the plans, so a planner bug cannot propagate into the audit.
+/// property solver and liveness index over \p P — nothing is shared with
+/// the pipeline that produced the plans, so a planner bug cannot propagate
+/// into the audit.
 class PlanAuditor {
 public:
   explicit PlanAuditor(mf::Program &P);
@@ -140,11 +142,21 @@ private:
   struct AccessInfo;
   class LoopAuditContext;
 
+  /// True when array \p X is referenced by a statement outside \p L: the
+  /// auditor's own liveness, answered from ArraySites, which the first
+  /// query builds.
+  bool referencedOutside(const mf::Symbol *X, const mf::DoStmt *L);
+
   mf::Program &Prog;
   analysis::SymbolUses Uses;
   cfg::Hcg G;
   analysis::GlobalConstants Consts;
   analysis::PropertySolver Solver;
+  /// Array -> the statements that reference it in their own expressions
+  /// (nested statements count on their own).
+  std::optional<std::unordered_map<const mf::Symbol *,
+                                   std::vector<const mf::Stmt *>>>
+      ArraySites;
 };
 
 /// How audit verdicts feed back into execution (mfpar --audit=MODE).

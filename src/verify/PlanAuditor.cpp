@@ -18,7 +18,8 @@
 //   2. discharge scalars: private scalars and re-checked reductions are
 //      race-free by construction, anything else written is a conflict;
 //   3. discharge privatized arrays, re-proving the last-value premise for
-//      the live-out ones;
+//      every one referenced outside the loop (liveness is the auditor's
+//      own, not the plan's LiveOutArrays);
 //   4. prove the remaining shared written arrays iteration-disjoint with
 //      an independent proof ladder (distinct dimension, injective/monotone
 //      gather subscript, swept ranges, offset-length with re-verified
@@ -204,6 +205,45 @@ bool isReductionUpdate(const AssignStmt *AS, const Symbol *S) {
   analysis::UseSet U;
   analysis::SymbolUses::exprReads(Other, U);
   return !U.reads(S);
+}
+
+/// The symbols \p S itself reads or writes, without its nested statements:
+/// an assignment's target, subscripts and right-hand side; the condition of
+/// an if or while; a do's index, bounds and step; everything a call's
+/// callee touches.
+UseSet ownUses(const Stmt *S, const SymbolUses &Uses) {
+  UseSet U;
+  switch (S->kind()) {
+  case StmtKind::Assign: {
+    const auto *AS = cast<AssignStmt>(S);
+    U.Writes.insert(AS->writtenSymbol());
+    SymbolUses::exprReads(AS->rhs(), U);
+    if (const ArrayRef *T = AS->arrayTarget())
+      for (const Expr *Sub : T->subscripts())
+        SymbolUses::exprReads(Sub, U);
+    break;
+  }
+  case StmtKind::If:
+    SymbolUses::exprReads(cast<IfStmt>(S)->condition(), U);
+    break;
+  case StmtKind::Do: {
+    const auto *DS = cast<DoStmt>(S);
+    U.Writes.insert(DS->indexVar());
+    SymbolUses::exprReads(DS->lower(), U);
+    SymbolUses::exprReads(DS->upper(), U);
+    if (DS->step())
+      SymbolUses::exprReads(DS->step(), U);
+    break;
+  }
+  case StmtKind::While:
+    SymbolUses::exprReads(cast<WhileStmt>(S)->condition(), U);
+    break;
+  case StmtKind::Call:
+    if (const Procedure *Callee = cast<CallStmt>(S)->callee())
+      U.merge(Uses.procedureUses(Callee));
+    break;
+  }
+  return U;
 }
 
 } // namespace
@@ -427,52 +467,23 @@ bool PlanAuditor::LoopAuditContext::reductionPremiseOk(const Symbol *S,
   Program::forEachStmtIn(L->body(), [&](Stmt *St) {
     if (!OK)
       return;
-    UseSet Shallow;
-    switch (St->kind()) {
-    case StmtKind::Assign: {
-      const auto *AS = cast<AssignStmt>(St);
+    if (const auto *AS = dyn_cast<AssignStmt>(St)) {
       if (isReductionUpdate(AS, S)) {
         SawUpdate = true;
         return;
       }
-      SymbolUses::exprReads(AS->rhs(), Shallow);
-      if (const ArrayRef *T = AS->arrayTarget())
-        for (const Expr *Sub : T->subscripts())
-          SymbolUses::exprReads(Sub, Shallow);
       if (AS->writtenSymbol() == S) {
         OK = false;
         Why = "a non-reduction assignment writes " + S->name();
         return;
       }
-      break;
     }
-    case StmtKind::If:
-      SymbolUses::exprReads(cast<IfStmt>(St)->condition(), Shallow);
-      break;
-    case StmtKind::Do: {
-      const auto *DS = cast<DoStmt>(St);
-      SymbolUses::exprReads(DS->lower(), Shallow);
-      SymbolUses::exprReads(DS->upper(), Shallow);
-      if (DS->step())
-        SymbolUses::exprReads(DS->step(), Shallow);
-      if (DS->indexVar() == S) {
-        OK = false;
-        Why = S->name() + " doubles as an inner loop index";
-        return;
-      }
-      break;
+    if (const auto *DS = dyn_cast<DoStmt>(St); DS && DS->indexVar() == S) {
+      OK = false;
+      Why = S->name() + " doubles as an inner loop index";
+      return;
     }
-    case StmtKind::While:
-      SymbolUses::exprReads(cast<WhileStmt>(St)->condition(), Shallow);
-      break;
-    case StmtKind::Call: {
-      const auto *CS = cast<CallStmt>(St);
-      if (CS->callee())
-        Shallow.merge(A.Uses.procedureUses(CS->callee()));
-      break;
-    }
-    }
-    if (Shallow.touches(S)) {
+    if (ownUses(St, A.Uses).touches(S)) {
       OK = false;
       Why = S->name() + " is used outside the reduction update";
     }
@@ -1016,7 +1027,9 @@ void PlanAuditor::LoopAuditContext::auditArrays() {
       return;
     if (Plan.PrivateArrays.count(X)) {
       ob("privatized", X->name(), true, "per-worker copies cannot race");
-      if (Plan.LiveOutArrays.count(X)) {
+      // Liveness is re-derived, not read off the plan: a live array the
+      // plan forgot to mark would otherwise escape the premise check.
+      if (Plan.LiveOutArrays.count(X) || A.referencedOutside(X, L)) {
         std::string Why;
         if (lastValuePremiseOk(X, Why)) {
           ob("live-out-reproducible", X->name(), true,
@@ -1105,6 +1118,30 @@ void PlanAuditor::LoopAuditContext::run() {
 
 PlanAuditor::PlanAuditor(Program &P)
     : Prog(P), Uses(P), G(P), Consts(P), Solver(G, Uses) {}
+
+bool PlanAuditor::referencedOutside(const Symbol *X, const DoStmt *L) {
+  if (!ArraySites) {
+    ArraySites.emplace();
+    Prog.forEachStmt([&](Stmt *S) {
+      UseSet U = ownUses(S, Uses);
+      U.Reads.insert(U.Writes.begin(), U.Writes.end());
+      for (const Symbol *Y : U.Reads)
+        if (Y->isArray())
+          (*ArraySites)[Y].push_back(S);
+    });
+  }
+  auto It = ArraySites->find(X);
+  if (It == ArraySites->end())
+    return false;
+  for (const Stmt *S : It->second) {
+    const Stmt *P = S;
+    while (P && P != L)
+      P = P->parent();
+    if (!P)
+      return true;
+  }
+  return false;
+}
 
 LoopAudit PlanAuditor::auditLoop(const DoStmt *L,
                                  const xform::LoopPlan &Plan) {

@@ -623,6 +623,34 @@ struct ScalarWalk {
   }
 };
 
+/// The symbols \p S itself reads or writes, without its nested statements:
+/// an assignment's target, subscripts and right-hand side; an if or while
+/// condition; a do's bounds and step; everything a call's callee touches.
+UseSet ownUses(const Stmt *S, const SymbolUses &Uses) {
+  UseSet U;
+  switch (S->kind()) {
+  case StmtKind::Assign:
+  case StmtKind::Call:
+    U = Uses.stmtUses(S);
+    break;
+  case StmtKind::If:
+    SymbolUses::exprReads(cast<IfStmt>(S)->condition(), U);
+    break;
+  case StmtKind::Do: {
+    const auto *DS = cast<DoStmt>(S);
+    SymbolUses::exprReads(DS->lower(), U);
+    SymbolUses::exprReads(DS->upper(), U);
+    if (DS->step())
+      SymbolUses::exprReads(DS->step(), U);
+    break;
+  }
+  case StmtKind::While:
+    SymbolUses::exprReads(cast<WhileStmt>(S)->condition(), U);
+    break;
+  }
+  return U;
+}
+
 /// Finds scalar sum reductions: every access to s in the body is the single
 /// statement `s = s + e` (or `s = e + s`) with e independent of s.
 void findReductions(const DoStmt *L, const SymbolUses &Uses,
@@ -632,7 +660,6 @@ void findReductions(const DoStmt *L, const SymbolUses &Uses,
   std::map<const Symbol *, unsigned> OtherUses;
 
   Program::forEachStmtIn(L->body(), [&](Stmt *S) {
-    UseSet U;
     const AssignStmt *AS = dyn_cast<AssignStmt>(S);
     bool IsRed = false;
     const Symbol *RedVar = nullptr;
@@ -664,37 +691,7 @@ void findReductions(const DoStmt *L, const SymbolUses &Uses,
       }
     }
     // Count uses of every scalar in this statement.
-    switch (S->kind()) {
-    case StmtKind::Assign: {
-      SymbolUses::exprReads(cast<AssignStmt>(S)->rhs(), U);
-      if (const mf::ArrayRef *T = cast<AssignStmt>(S)->arrayTarget())
-        for (const Expr *Sub : T->subscripts())
-          SymbolUses::exprReads(Sub, U);
-      if (!cast<AssignStmt>(S)->arrayTarget())
-        U.Writes.insert(cast<AssignStmt>(S)->writtenSymbol());
-      break;
-    }
-    case StmtKind::If:
-      SymbolUses::exprReads(cast<IfStmt>(S)->condition(), U);
-      break;
-    case StmtKind::Do: {
-      const auto *DS = cast<DoStmt>(S);
-      SymbolUses::exprReads(DS->lower(), U);
-      SymbolUses::exprReads(DS->upper(), U);
-      if (DS->step())
-        SymbolUses::exprReads(DS->step(), U);
-      break;
-    }
-    case StmtKind::While:
-      SymbolUses::exprReads(cast<WhileStmt>(S)->condition(), U);
-      break;
-    case StmtKind::Call: {
-      const UseSet &PU = Uses.procedureUses(cast<CallStmt>(S)->callee());
-      U.merge(PU);
-      break;
-    }
-    }
-
+    UseSet U = ownUses(S, Uses);
     if (IsRed) {
       RedCandidates[RedVar].push_back(AS);
       // The reduction statement's own read/write of RedVar is expected;
@@ -728,6 +725,33 @@ void findReductions(const DoStmt *L, const SymbolUses &Uses,
 IAA_STAT(priv_loops_analyzed, "Loops run through the privatizer");
 IAA_STAT(priv_arrays_privatized, "Arrays proven privatizable");
 IAA_STAT(priv_arrays_exposed, "Arrays with exposed upward reads");
+IAA_STAT(priv_liveout_sites_examined,
+         "Statements the live-out query examined");
+
+bool Privatizer::referencedOutside(const Symbol *X, const DoStmt *L) {
+  if (!Sites) {
+    Sites.emplace();
+    G.program().forEachStmt([&](Stmt *S) {
+      UseSet Own = ownUses(S, Uses);
+      Own.Reads.insert(Own.Writes.begin(), Own.Writes.end());
+      for (const Symbol *Y : Own.Reads)
+        if (Y->isArray())
+          (*Sites)[Y].push_back(S);
+    });
+  }
+  auto It = Sites->find(X);
+  if (It == Sites->end())
+    return false;
+  for (const Stmt *S : It->second) {
+    ++priv_liveout_sites_examined;
+    const Stmt *P = S;
+    while (P && P != L)
+      P = P->parent();
+    if (!P)
+      return true;
+  }
+  return false;
+}
 
 PrivatizationResult Privatizer::analyze(const DoStmt *L) {
   trace::TraceScope Span("privatization", "xform");
@@ -771,57 +795,9 @@ PrivatizationResult Privatizer::analyze(const DoStmt *L) {
     }
   }
 
-  // Liveness: arrays referenced outside the loop need a copy-out, which is
-  // only meaningful when the written section does not depend on the
-  // iteration (we conservatively require invariance of nothing here and
-  // instead flag LiveOut for the runtime to copy the last iteration back).
-  auto ReferencedOutside = [&](const Symbol *X) {
-    bool Outside = false;
-    bool InLoop = false;
-    G.program().forEachStmt([&](Stmt *S) {
-      // Is S inside L?
-      const Stmt *P = S;
-      bool Inside = false;
-      for (; P; P = P->parent())
-        if (P == L)
-          Inside = true;
-      if (Inside) {
-        InLoop = true;
-        return;
-      }
-      UseSet U = Uses.stmtUses(S);
-      // stmtUses on compound statements double-counts nested children, but
-      // for a boolean query that is fine.
-      if (S->kind() == StmtKind::Assign || S->kind() == StmtKind::Call)
-        if (U.touches(X))
-          Outside = true;
-      if (S->kind() != StmtKind::Assign && S->kind() != StmtKind::Call) {
-        // Conditions and bounds only.
-        UseSet Head;
-        switch (S->kind()) {
-        case StmtKind::If:
-          SymbolUses::exprReads(cast<IfStmt>(S)->condition(), Head);
-          break;
-        case StmtKind::Do: {
-          const auto *DS = cast<DoStmt>(S);
-          SymbolUses::exprReads(DS->lower(), Head);
-          SymbolUses::exprReads(DS->upper(), Head);
-          break;
-        }
-        case StmtKind::While:
-          SymbolUses::exprReads(cast<WhileStmt>(S)->condition(), Head);
-          break;
-        default:
-          break;
-        }
-        if (Head.touches(X))
-          Outside = true;
-      }
-    });
-    (void)InLoop;
-    return Outside;
-  };
-
+  // Liveness: an array referenced outside the loop is flagged LiveOut, so
+  // the runtime copies the last iteration back (and the planner demands
+  // the last-value proof first).
   for (auto &[X, St] : States) {
     ArrayPrivOutcome O;
     O.Array = X;
@@ -841,7 +817,7 @@ PrivatizationResult Privatizer::analyze(const DoStmt *L) {
       O.Reason = "affine";
     }
     O.Detail = St.Detail;
-    O.LiveOut = ReferencedOutside(X);
+    O.LiveOut = referencedOutside(X, L);
     auto LV = LastValue.find(X);
     O.LastValueOk =
         O.Privatizable && LV != LastValue.end() && LV->second;

@@ -35,8 +35,10 @@
 #include "cfg/Hcg.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace iaa {
@@ -96,11 +98,21 @@ private:
   struct ArrayState;
   struct Walker;
 
+  /// True when array \p X is referenced by a statement outside \p L (the
+  /// live-out query). Answered from Sites, which the first query builds.
+  bool referencedOutside(const mf::Symbol *X, const mf::DoStmt *L);
+
   cfg::Hcg &G;
   const analysis::SymbolUses &Uses;
   analysis::GlobalConstants Consts;
   analysis::PropertySolver Solver;
   bool EnableIAA;
+  /// Array -> the statements whose own part references it: an assignment
+  /// or call as a whole, the condition of an if or while, the bounds and
+  /// step of a do (never a compound statement's children).
+  std::optional<std::unordered_map<const mf::Symbol *,
+                                   std::vector<const mf::Stmt *>>>
+      Sites;
 };
 
 } // namespace xform

@@ -10,7 +10,8 @@
 /// the two sides of its contract: every loop the paper parallelizes is
 /// independently Certified (zero Rejected anywhere), and seeded planner
 /// bugs — dropped privatization, dropped reduction, unproved last-value
-/// writeback, force-parallelized dependences — are flagged.
+/// writeback, a live array left out of LiveOutArrays, force-parallelized
+/// dependences — are flagged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -263,6 +264,43 @@ TEST(Audit, SkipLastValueIsFlagged) {
   bool SawFailedLastValue = false;
   for (const ObligationCheck &O : LA->Obligations)
     if (O.Kind == "live-out-reproducible" && !O.Ok)
+      SawFailedLastValue = true;
+  EXPECT_TRUE(SawFailedLastValue) << LA->str();
+}
+
+TEST(Audit, LivenessIsReDerivedNotReadOffThePlan) {
+  // t is read after lp only as the step of `after`, and iteration i writes
+  // t(i:300), so no final-iteration writeback reproduces the serial t. A
+  // plan that privatizes t but leaves it out of LiveOutArrays drops the
+  // writeback altogether (the plan a live-out query that skipped do steps
+  // produced); the auditor must see that t is live on its own.
+  Audited Au(R"(program p
+    integer i, k, c
+    integer t(300)
+    real s(300)
+    c = 0
+    lp: do i = 1, 300
+      do k = i, 300
+        t(k) = i
+      end do
+      s(i) = t(i) * 2.0
+    end do
+    after: do k = 1, 30000, t(2)
+      c = c + k
+    end do
+  end)");
+  ASSERT_TRUE(applyMutation(Au.R, *Au.P, {MutationKind::SkipLastValue,
+                                          "lp", "t"}));
+  Au.R.Plans.at(Au.P->findLoop("lp")).LiveOutArrays.erase(
+      Au.P->findSymbol("t"));
+  PlanAuditor Auditor(*Au.P);
+  AuditResult A2 = Auditor.audit(Au.R);
+  const LoopAudit *LA = A2.auditFor("lp");
+  ASSERT_NE(LA, nullptr);
+  EXPECT_NE(LA->Verdict, AuditVerdict::Certified) << LA->str();
+  bool SawFailedLastValue = false;
+  for (const ObligationCheck &O : LA->Obligations)
+    if (O.Kind == "live-out-reproducible" && O.Subject == "t" && !O.Ok)
       SawFailedLastValue = true;
   EXPECT_TRUE(SawFailedLastValue) << LA->str();
 }

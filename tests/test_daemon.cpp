@@ -255,9 +255,9 @@ TEST(DaemonProtocol, UnknownFieldsAreRejected) {
     std::optional<json::Value> V = json::parse(Out);
     ASSERT_TRUE(V.has_value()) << Out;
     EXPECT_EQ(V->member("status")->S, "error") << Out;
-    EXPECT_EQ(V->member("error")->S,
-              "unknown field '" + std::string(Field) + "'")
-        << Out;
+    const json::Value *Error = V->member("error");
+    ASSERT_NE(Error, nullptr) << Field << " was accepted: " << Out;
+    EXPECT_EQ(Error->S, "unknown field '" + std::string(Field) + "'") << Out;
   }
   // The same source with only grammar fields runs.
   expectStatus(S, requestLine("u", "run", healthySource(),

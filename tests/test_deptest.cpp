@@ -307,10 +307,11 @@ TEST_P(AffinePairSweep, NoFalseIndependence) {
         Carried = true;
     }
 
-  if (R.Independent)
+  if (R.Independent) {
     EXPECT_FALSE(Carried) << "tester claimed independence, but iterations "
                              "conflict: "
                           << Src;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

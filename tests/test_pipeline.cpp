@@ -14,6 +14,8 @@
 #include "TestUtil.h"
 
 #include "benchprogs/Benchmarks.h"
+#include "support/Statistic.h"
+#include "verify/PlanAudit.h"
 #include "xform/Parallelizer.h"
 #include "xform/Passes.h"
 
@@ -23,14 +25,6 @@ using namespace iaa::xform;
 using iaa::test::parseOrDie;
 
 namespace {
-
-PipelineResult analyze(const std::string &Source, PipelineMode Mode) {
-  auto P = parseOrDie(Source);
-  PipelineResult R = parallelize(*P, Mode);
-  // Keep the program alive only for the duration: the reports hold Symbol
-  // pointers, so tests that need them must hold the program themselves.
-  return R;
-}
 
 bool loopParallel(const PipelineResult &R, const std::string &Label) {
   const LoopReport *Rep = R.reportFor(Label);
@@ -390,6 +384,94 @@ TEST(Pipeline, TrueArrayDependenceBlocks) {
   end)");
   PipelineResult R = parallelize(*P, PipelineMode::Full);
   EXPECT_FALSE(loopParallel(R, "rec")) << R.str();
+}
+
+//===----------------------------------------------------------------------===//
+// Planning cost scales linearly with program size
+//===----------------------------------------------------------------------===//
+
+/// K copies of a Fig. 3 CCS kernel plus a Fig. 1(a) kernel; copy c names
+/// its arrays and loops with the suffix c, so every copy plans alike.
+std::string scaledProgram(unsigned K) {
+  std::string Decls = "program scaled\n  integer i, j, k\n", Body;
+  for (unsigned C = 0; C < K; ++C) {
+    std::string Copy = R"(  do i = 1, 20
+    ln@(i) = mod(i * 7, 4) + 1
+  end do
+  off@(1) = 1
+  do i = 1, 20
+    off@(i + 1) = off@(i) + ln@(i)
+  end do
+  ccs@: do i = 1, 20
+    do j = 1, ln@(i)
+      dat@(off@(i) + j - 1) = i * 0.5 + j
+    end do
+  end do
+  do i = 1, 20
+    y@(i) = i * 0.5
+    lnk@(i) = i + 1
+  end do
+  lnk@(20) = 0
+  dok@: do k = 1, 8
+    p@ = 0
+    i = lnk@(1)
+    while (i /= 0)
+      p@ = p@ + 1
+      x@(p@) = y@(i) + k
+      i = lnk@(i)
+    end while
+    do j = 1, p@
+      dz@(k, j) = x@(j)
+    end do
+  end do
+)";
+    std::string Suffix = std::to_string(C);
+    for (size_t At; (At = Copy.find('@')) != std::string::npos;)
+      Copy.replace(At, 1, Suffix);
+    Decls += "  integer p" + Suffix + ", off" + Suffix + "(21), ln" + Suffix +
+             "(20), lnk" + Suffix + "(20)\n  real dat" + Suffix + "(81), x" +
+             Suffix + "(20), y" + Suffix + "(20), dz" + Suffix + "(8, 20)\n";
+    Body += Copy;
+  }
+  return Decls + Body + "end\n";
+}
+
+struct PlanningCounts {
+  uint64_t Loops = 0;     ///< Loops the privatizer analyzed.
+  uint64_t Sites = 0;     ///< Statements the live-out query examined.
+  uint64_t Summaries = 0; ///< Whole-program SymbolUses summaries built.
+};
+
+PlanningCounts planAndAudit(unsigned K) {
+  auto P = parseOrDie(scaledProgram(K));
+  stat::Collector C;
+  {
+    stat::CollectorScope Scope(&C);
+    PipelineResult R = parallelize(*P, PipelineMode::Full);
+    verify::PlanAuditor Auditor(*P);
+    verify::AuditResult A = Auditor.audit(R);
+    EXPECT_TRUE(loopParallel(R, "ccs0")) << R.str();
+    EXPECT_TRUE(loopParallel(R, "dok0")) << R.str();
+    EXPECT_TRUE(A.allCertified()) << A.str();
+  }
+  return {C.value("priv_loops_analyzed"),
+          C.value("priv_liveout_sites_examined"),
+          C.value("uses_program_summaries")};
+}
+
+TEST(PlanningScale, LiveOutSitesPerLoopAndUseSummariesStayFlat) {
+  // Deterministic counts, not wall time: a live-out query that scans the
+  // whole program examines more statements per loop as the program grows,
+  // and a query that rebuilds a whole-program use summary builds more of
+  // them per compile.
+  PlanningCounts Small = planAndAudit(100);
+  PlanningCounts Large = planAndAudit(800);
+  ASSERT_GT(Small.Loops, 0u);
+  ASSERT_GT(Small.Sites, 0u);
+  EXPECT_EQ(Large.Sites * Small.Loops, Small.Sites * Large.Loops)
+      << "sites per loop: " << Small.Sites / double(Small.Loops)
+      << " at K=100, " << Large.Sites / double(Large.Loops) << " at K=800";
+  EXPECT_EQ(Large.Summaries, Small.Summaries);
 }
 
 } // namespace

@@ -48,10 +48,12 @@ TEST_P(ProverSweep, LEandLTAreSound) {
     AllLT &= L < R;
   }
 
-  if (provablyLE(Lhs, Rhs, Env))
+  if (provablyLE(Lhs, Rhs, Env)) {
     EXPECT_TRUE(AllLE) << Lhs.str() << " <= " << Rhs.str();
-  if (provablyLT(Lhs, Rhs, Env))
+  }
+  if (provablyLT(Lhs, Rhs, Env)) {
     EXPECT_TRUE(AllLT) << Lhs.str() << " < " << Rhs.str();
+  }
   // The prover must be complete on variable-free differences.
   if (A == C) {
     EXPECT_EQ(provablyLE(Lhs, Rhs, Env), B <= D);

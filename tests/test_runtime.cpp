@@ -8,8 +8,9 @@
 /// Tests for the persistent parallel runtime: the WorkerPool fork/join
 /// primitive, the ChunkDispenser's guided chunks, the empty-chunk
 /// last-value regression (NIter=6 over T=4 used to write an idle worker's
-/// untouched copy-in privates back to shared memory), and the
-/// division-by-zero array-extent fault.
+/// untouched copy-in privates back to shared memory), an array read after
+/// its loop only in a do step, and the division-by-zero array-extent
+/// fault.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -252,6 +253,55 @@ TEST(LastValue, MatchesSerialThreadedAndSimulated) {
     Par.Simulate = Simulate;
     Memory M = I.run(Par);
     EXPECT_EQ(M.checksum(), Want) << (Simulate ? "simulated" : "threaded");
+  }
+}
+
+TEST(LastValue, ArrayReadOnlyInALaterDoStepIsLiveOut) {
+  // After lp, t is read only as the step of `after`. Every iteration
+  // writes t(i:300), so no single iteration's private copy holds the serial
+  // final contents: lp must stay serial. A live-out query that skipped do
+  // steps privatized t without a writeback, and `after` then stepped by the
+  // stale shared t(2) = 0 and faulted.
+  auto P = parseOrDie(R"(program p
+    integer i, k, c
+    integer t(300)
+    real s(300)
+    c = 0
+    lp: do i = 1, 300
+      do k = i, 300
+        t(k) = i
+      end do
+      s(i) = t(i) * 2.0
+    end do
+    after: do k = 1, 30000, t(2)
+      c = c + k
+    end do
+  end)");
+  xform::PipelineResult Plan =
+      xform::parallelize(*P, xform::PipelineMode::Full);
+  const xform::LoopReport *Rep = Plan.reportFor("lp");
+  ASSERT_NE(Rep, nullptr);
+  EXPECT_FALSE(Rep->Parallel);
+  bool SawT = false;
+  for (const xform::ArrayPrivOutcome &O : Rep->PrivOutcomes)
+    if (O.Array->name() == "t") {
+      SawT = true;
+      EXPECT_TRUE(O.LiveOut);
+    }
+  EXPECT_TRUE(SawT);
+
+  Interpreter I(*P);
+  double Want = I.run(ExecOptions{}).checksum();
+  ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+  for (unsigned T : {2u, 4u}) {
+    ExecOptions Par;
+    Par.Plans = &Plan;
+    Par.Threads = T;
+    Par.MinParallelWork = 0;
+    double Got = I.run(Par).checksum();
+    ASSERT_FALSE(I.faultState().Faulted) << "T=" << T << ": "
+                                         << I.faultState().str();
+    EXPECT_EQ(Got, Want) << "T=" << T;
   }
 }
 

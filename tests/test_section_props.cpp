@@ -127,15 +127,18 @@ TEST_P(SectionAlgebra, IntersectMustUnderApproximates) {
 }
 
 TEST_P(SectionAlgebra, DisjointnessIsSound) {
-  if (Section::provablyDisjoint(A, B, Env))
+  if (Section::provablyDisjoint(A, B, Env)) {
     EXPECT_TRUE(intersectOf(CA, CB).empty());
+  }
 }
 
 TEST_P(SectionAlgebra, ContainmentIsSound) {
-  if (Section::provablyContains(A, B, Env))
+  if (Section::provablyContains(A, B, Env)) {
     EXPECT_TRUE(superset(CA, CB));
-  if (Section::provablyContains(B, A, Env))
+  }
+  if (Section::provablyContains(B, A, Env)) {
     EXPECT_TRUE(superset(CB, CA));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,8 +183,9 @@ TEST_P(AggregationSweep, MayCoversMustIsCovered) {
   EXPECT_TRUE(superset(Exact, concrete(Must, 4096)))
       << Must.str() << " vs exact size " << Exact.size();
   // When the per-iteration windows leave no holes, MUST must be exact.
-  if (std::abs(AC) <= W + 1 && !Must.isEmpty())
+  if (std::abs(AC) <= W + 1 && !Must.isEmpty()) {
     EXPECT_EQ(concrete(Must, 4096).size(), Exact.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -150,6 +150,12 @@ const char *structuralWalk(const StmtList &Body, int Depth) {
   return nullptr;
 }
 
+/// True for the ops whose Imm is a jump target.
+bool jumps(Op K) {
+  return K == Op::Jmp || K == Op::JmpZ || K == Op::JmpNZ ||
+         K == Op::LoopTest || K == Op::LoopBack || K == Op::WhileBack;
+}
+
 /// Register type of an expression under MF's static element kinds.
 enum class Ty { I, D };
 
@@ -171,6 +177,7 @@ public:
         {Root->label().empty() ? "<unlabeled>" : Root->label(), P.IterReg});
     compileBody(Root->body(), 0);
     emit(Op::Halt);
+    hoistInvariants();
     P.NumIntRegs = NextI;
     P.NumRealRegs = NextR;
     return std::move(P);
@@ -187,6 +194,54 @@ private:
     uint16_t IterReg;
   };
   std::vector<LoopCtx> LoopStack;
+
+  /// Moves loop invariants into the chunk prologue: MovI/MovD constants and
+  /// LdSca loads of scalars the loop never stores (Halt stores the index
+  /// variable every iteration), each only when no other instruction writes
+  /// its register. Registers are only read after their write in execution
+  /// order, so the body sees the values it saw before. Both parts keep
+  /// their order; jump targets are renumbered.
+  void hoistInvariants() {
+    std::vector<unsigned> WritersI(NextI), WritersD(NextR);
+    std::vector<bool> Stored(P.Slots.size());
+    Stored[P.IndexSlot] = true;
+    for (const Instr &In : P.Code) {
+      if (writesOf(In.K) == RegFile::I)
+        ++WritersI[In.A];
+      else if (writesOf(In.K) == RegFile::D)
+        ++WritersD[In.A];
+      if (In.K == Op::StScaI || In.K == Op::StScaD)
+        Stored[In.A] = true;
+    }
+    auto Invariant = [&](const Instr &In) {
+      switch (In.K) {
+      case Op::MovI:
+        return WritersI[In.A] == 1;
+      case Op::MovD:
+        return WritersD[In.A] == 1;
+      case Op::LdScaI:
+        return !Stored[In.B] && WritersI[In.A] == 1;
+      case Op::LdScaD:
+        return !Stored[In.B] && WritersD[In.A] == 1;
+      default:
+        return false;
+      }
+    };
+    // BodyAt[K]: the body index of old instruction K, or for a hoisted K
+    // of the next instruction left in the body — where a jump to K lands.
+    std::vector<Instr> Prologue, Body;
+    std::vector<size_t> BodyAt(P.Code.size());
+    for (size_t K = 0; K < P.Code.size(); ++K) {
+      BodyAt[K] = Body.size();
+      (Invariant(P.Code[K]) ? Prologue : Body).push_back(P.Code[K]);
+    }
+    for (Instr &In : Body)
+      if (jumps(In.K))
+        In.Imm = int64_t(Prologue.size() + BodyAt[size_t(In.Imm)]);
+    P.BodyStart = Prologue.size();
+    P.Code = std::move(Prologue);
+    P.Code.insert(P.Code.end(), Body.begin(), Body.end());
+  }
 
   uint16_t allocI() {
     if (NextI >= 0xFFFF)
@@ -671,72 +726,21 @@ CompileResult vm::compileLoop(
 }
 
 const char *vm::opName(Op K) {
-  switch (K) {
-  case Op::Halt: return "halt";
-  case Op::MovI: return "movi";
-  case Op::MovD: return "movd";
-  case Op::CopyI: return "cpyi";
-  case Op::CopyD: return "cpyd";
-  case Op::CastID: return "i2d";
-  case Op::CastDI: return "d2i";
-  case Op::LdScaI: return "ldsi";
-  case Op::LdScaD: return "ldsd";
-  case Op::StScaI: return "stsi";
-  case Op::StScaD: return "stsd";
-  case Op::Ld1I: return "ld1i";
-  case Op::Ld1D: return "ld1d";
-  case Op::St1I: return "st1i";
-  case Op::St1D: return "st1d";
-  case Op::Ld2I: return "ld2i";
-  case Op::Ld2D: return "ld2d";
-  case Op::St2I: return "st2i";
-  case Op::St2D: return "st2d";
-  case Op::GthI: return "gthi";
-  case Op::GthD: return "gthd";
-  case Op::SctI: return "scti";
-  case Op::SctD: return "sctd";
-  case Op::SctAddI: return "sctaddi";
-  case Op::SctAddD: return "sctaddd";
-  case Op::AddI: return "addi";
-  case Op::SubI: return "subi";
-  case Op::MulI: return "muli";
-  case Op::DivI: return "divi";
-  case Op::ModI: return "modi";
-  case Op::MinI: return "mini";
-  case Op::MaxI: return "maxi";
-  case Op::NegI: return "negi";
-  case Op::NotI: return "noti";
-  case Op::BoolI: return "booli";
-  case Op::DNzI: return "dnzi";
-  case Op::AddIImm: return "addiimm";
-  case Op::AddD: return "addd";
-  case Op::SubD: return "subd";
-  case Op::MulD: return "muld";
-  case Op::DivD: return "divd";
-  case Op::MinD: return "mind";
-  case Op::MaxD: return "maxd";
-  case Op::NegD: return "negd";
-  case Op::EqI: return "eqi";
-  case Op::NeI: return "nei";
-  case Op::LtI: return "lti";
-  case Op::LeI: return "lei";
-  case Op::GtI: return "gti";
-  case Op::GeI: return "gei";
-  case Op::EqD: return "eqd";
-  case Op::NeD: return "ned";
-  case Op::LtD: return "ltd";
-  case Op::LeD: return "led";
-  case Op::GtD: return "gtd";
-  case Op::GeD: return "ged";
-  case Op::Jmp: return "jmp";
-  case Op::JmpZ: return "jmpz";
-  case Op::JmpNZ: return "jmpnz";
-  case Op::LoopTest: return "looptest";
-  case Op::LoopBack: return "loopback";
-  case Op::FaultZeroStep: return "ckstep";
-  case Op::WhileBack: return "whileback";
-  }
-  return "?";
+  static constexpr const char *Names[] = {
+#define IAA_VM_OP(Name, Mnemonic, Writes) Mnemonic,
+      IAA_VM_OPCODES(IAA_VM_OP)
+#undef IAA_VM_OP
+  };
+  return unsigned(K) < NumOps ? Names[unsigned(K)] : "?";
+}
+
+RegFile vm::writesOf(Op K) {
+  static constexpr RegFile Files[] = {
+#define IAA_VM_OP(Name, Mnemonic, Writes) RegFile::Writes,
+      IAA_VM_OPCODES(IAA_VM_OP)
+#undef IAA_VM_OP
+  };
+  return unsigned(K) < NumOps ? Files[unsigned(K)] : RegFile::None;
 }
 
 std::string LoopProgram::str() const {
@@ -750,6 +754,8 @@ std::string LoopProgram::str() const {
          std::to_string(FusedScatters) + " fused scatters\n";
   for (size_t I = 0; I < Code.size(); ++I) {
     const Instr &In = Code[I];
+    if (I == BodyStart)
+      Out += "  body:\n";
     Out += "  " + std::to_string(I) + ": " + opName(In.K);
     Out += " a=" + std::to_string(In.A) + " b=" + std::to_string(In.B) +
            " c=" + std::to_string(In.C);

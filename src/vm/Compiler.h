@@ -10,13 +10,15 @@
 /// (vm/Bytecode.h): assignments, ifs, nested do and while loops, and calls
 /// (inlined). A while keeps the tree walk's runaway guard and deadline
 /// polls in one back-edge op. A scalar is loaded once per straight-line
-/// stretch, and integer e +- c takes c as an immediate. The compiler is
-/// deliberately conservative: anything it cannot lower with bit-identical
-/// semantics — unresolved or recursive calls, mod on real operands,
-/// non-integer index variables — is a *bailout*, and the loop runs
-/// serially on the tree-walking interpreter. Bailing out is always correct;
-/// compiling is only a speed change, never a semantic one (the differential
-/// oracle in --engine=both enforces exactly that).
+/// stretch, integer e +- c takes c as an immediate, and constants and loads
+/// of scalars the loop never stores move into a once-per-chunk prologue
+/// (LoopProgram::BodyStart). The compiler is deliberately conservative:
+/// anything it cannot lower with bit-identical semantics — unresolved or
+/// recursive calls, mod on real operands, non-integer index variables — is
+/// a *bailout*, and the loop runs serially on the tree-walking interpreter.
+/// Bailing out is always correct; compiling is only a speed change, never a
+/// semantic one (the differential oracle in --engine=both enforces exactly
+/// that).
 ///
 /// structuralBailout() is the extent-free subset of the bailout taxonomy,
 /// usable at pipeline time (xform marks LoopPlan::VmEligible with it);

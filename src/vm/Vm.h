@@ -10,11 +10,13 @@
 /// only thing the interpreter's workers run (RunChunk calls it at every
 /// thread count); the surrounding machinery — WorkerPool, ChunkDispenser,
 /// privatization overrides, fault containment — stays in the interpreter.
-/// Slot pointers are resolved once per chunk (override else shared
-/// buffer), which is where the speedup over the tree walk comes from;
-/// faults raise the same structured FaultException the serial tree walk
-/// would, so the trap / rollback / serial-replay pipeline works on VM
-/// chunks unchanged.
+/// Against the tree walk it saves the per-node dispatch and Value boxing:
+/// slot pointers and extents are resolved once per chunk (override else
+/// shared buffer), loop invariants run once per chunk in the program's
+/// prologue, and the dispatch is direct-threaded over register-resident
+/// state, with Halt as the iteration's back edge. Faults raise the same
+/// structured FaultException the serial tree walk would, so the trap /
+/// rollback / serial-replay pipeline works on VM chunks unchanged.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,12 +9,13 @@
 /// the differential oracle: --engine=both runs every program twice and
 /// demands bit-identical final-memory checksums (or matching fault kinds),
 /// at every thread count, on the Fig. 16
-/// benchmark reconstructions and Fig. 1(a)'s while loop, the
-/// recurrence-promoted kernels, conditional-dispatch loops (inspection pass
-/// and fail), and a mid-chunk fault with rollback + serial replay.
-/// Compiler-level tests pin the fusion and scalar peepholes, while lowering
-/// and the bailout taxonomy; fault tests pin serial tree-walk attribution
-/// inside while bodies and deadline polls inside long VM chunks.
+/// benchmark reconstructions and Fig. 1(a)'s while loop, a program holding
+/// every opcode, the recurrence-promoted kernels, conditional-dispatch
+/// loops (inspection pass and fail), and a mid-chunk fault with rollback +
+/// serial replay. Compiler-level tests pin the fusion and scalar
+/// peepholes, the chunk prologue, while lowering and the bailout taxonomy;
+/// fault tests pin serial tree-walk attribution inside while bodies and at
+/// a zero inner step, and deadline polls inside long VM chunks.
 ///
 /// Suite names here start with "Vm" so the CI ThreadSanitizer job's
 /// --gtest_filter picks them up.
@@ -32,6 +33,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -251,6 +255,87 @@ TEST(VmCompile, ScalarReloadsAndConstantAddsFold) {
   EXPECT_EQ(Count("ldsi"), 2u) << Dis; // k and i after the join.
 }
 
+TEST(VmCompile, InvariantsHoistIntoChunkPrologue) {
+  // scat's constant 0.5 is loaded once per chunk: the body is the load of
+  // y(i), the multiply, the fused scatter-add and the back edge.
+  Harness H(PermutationScatter);
+  const DoStmt *Scat = H.P->findLoop("scat");
+  ASSERT_NE(Scat, nullptr);
+  vm::CompileResult R = vm::compileLoop(Scat, extentsOf(*H.P));
+  ASSERT_TRUE(R.Ok) << R.Bailout;
+  const vm::LoopProgram &Prog = R.Prog;
+  std::string Dis = Prog.str();
+  ASSERT_EQ(Prog.BodyStart, 1u) << Dis;
+  EXPECT_EQ(Prog.Code[0].K, vm::Op::MovD) << Dis;
+  double Half = 0;
+  std::memcpy(&Half, &Prog.Code[0].Imm, sizeof(Half));
+  EXPECT_EQ(Half, 0.5);
+  std::vector<vm::Op> Body;
+  for (size_t K = Prog.BodyStart; K < Prog.Code.size(); ++K)
+    Body.push_back(Prog.Code[K].K);
+  EXPECT_EQ(Body, (std::vector<vm::Op>{vm::Op::Ld1D, vm::Op::MulD,
+                                        vm::Op::SctAddD, vm::Op::Halt}))
+      << Dis;
+  EXPECT_NE(Dis.find("\n  body:\n  1: ld1d "), std::string::npos) << Dis;
+
+  // What stays per iteration: loads of a scalar the loop stores (k) and of
+  // the index variable (i, reloaded after the if's join), a while guard's
+  // reset, and an and/or result's default. n is never stored, so its load
+  // moves.
+  auto P = parseOrDie(R"(program t
+    integer i, n, k, go
+    real x(100)
+    n = 100
+    lp: do i = 1, n
+      k = i + 1
+      if (k > 50 and n > 3) then
+        k = 0
+      end if
+      go = 0
+      while (go < 2)
+        go = go + 1
+      end while
+      x(i) = x(i) + k + i + n
+    end do
+  end)");
+  const DoStmt *L = P->findLoop("lp");
+  ASSERT_NE(L, nullptr);
+  R = vm::compileLoop(L, extentsOf(*P));
+  ASSERT_TRUE(R.Ok) << R.Bailout;
+  const vm::LoopProgram &Lp = R.Prog;
+  Dis = Lp.str();
+  auto InBody = [&](size_t At) { return At >= Lp.BodyStart; };
+  std::map<std::string, unsigned> Loads;
+  std::set<uint16_t> Guards, Results;
+  for (size_t K = 0; K < Lp.Code.size(); ++K) {
+    const vm::Instr &In = Lp.Code[K];
+    if (In.K == vm::Op::LdScaI) {
+      std::string Name = Lp.Slots[In.B].Sym->name();
+      ++Loads[Name];
+      EXPECT_EQ(InBody(K), Name != "n") << Name << " at " << K << "\n" << Dis;
+    }
+    if (In.K == vm::Op::WhileBack)
+      Guards.insert(In.A);
+    if (In.K == vm::Op::BoolI)
+      Results.insert(In.A);
+  }
+  EXPECT_GE(Loads["k"], 1u) << Dis;
+  EXPECT_GE(Loads["i"], 1u) << Dis;
+  EXPECT_GE(Loads["n"], 1u) << Dis;
+  ASSERT_EQ(Guards.size(), 1u) << Dis;
+  ASSERT_EQ(Results.size(), 1u) << Dis;
+  unsigned Resets = 0;
+  for (size_t K = 0; K < Lp.Code.size(); ++K) {
+    const vm::Instr &In = Lp.Code[K];
+    if (In.K == vm::Op::MovI &&
+        (Guards.count(In.A) || Results.count(In.A))) {
+      ++Resets;
+      EXPECT_TRUE(InBody(K)) << "movi at " << K << "\n" << Dis;
+    }
+  }
+  EXPECT_EQ(Resets, 2u) << Dis;
+}
+
 TEST(VmCompile, BailoutTaxonomy) {
   // A call to an unresolved procedure is a structural bailout, found
   // inside a while body too; the xform pre-check and the compiler must
@@ -380,6 +465,114 @@ TEST(VmDifferential, ConditionalDispatchPassAndFail) {
     Harness H(DuplicateScatter);
     ExecStats Stats = H.runBoth(4, "dup");
     EXPECT_GT(Stats.RuntimeCheckFails, 0u);
+  }
+}
+
+/// Five certified loops whose bytecode together holds every opcode:
+/// if/else and and/or/not, a real as a condition, real comparisons, integer
+/// and real min/max/negation, a real stored into an integer array, rank-2
+/// accesses, integer and real gathers and scatters through a permutation,
+/// and an inner do with an explicit step beside a while. Every branch goes
+/// both ways over the iteration space.
+const char *EveryOpcode = R"(program t
+    integer i, k, m, n
+    integer ind(1000), ia(1000), ib(1000), ic(1000), id(1000), ie(1000)
+    integer ia2(1000, 3)
+    real s, t
+    real x(1000), y(1000), z(1000), w(1000)
+    real x2(1000, 3)
+    n = 1000
+    s = 0.75
+    init: do i = 1, n
+      ind(i) = mod(i * 7, n) + 1
+      ia(i) = mod(i, 11) - 5
+      y(i) = mod(i, 9) * 0.25 - 1.0
+      x(i) = i * 0.5
+    end do
+    ops: do i = 1, n
+      t = y(i) * s
+      if (t) then
+        z(i) = -t + min(t, 0.5) - max(t, -0.5)
+      else
+        z(i) = t / 2.0
+      end if
+      k = -ia(i)
+      ib(i) = min(k, 3) * max(k, -2) - i / 3 + mod(i, 5) + (k + i) * 3
+      if (t == 0.0 or t /= s and not (t < 0.25)) then
+        ic(i) = 1
+      else
+        ic(i) = 2
+      end if
+      if (t <= 0.25 and t >= -s or t > 0.5) then
+        w(i) = t
+      else
+        w(i) = 0.0
+      end if
+      if (k == 1 or k /= 2 and k < 3 and k <= 4 and k > -4 and k >= -3) then
+        id(i) = k - i
+      else
+        id(i) = i + 1
+      end if
+      ie(i) = y(i) * 4.0
+      x2(i, 1) = i * 0.25
+      ia2(i, 2) = ib(i)
+      m = 0
+      do k = 1, 9, 2
+        m = m + k
+      end do
+      while (m < 30)
+        m = m + 4
+      end while
+      ib(i) = ib(i) + m
+    end do
+    rd: do i = 1, n
+      z(i) = z(i) + x2(i, 1) + ia2(i, 2)
+    end do
+    gat: do i = 1, n
+      y(i) = x(ind(i)) + ia(ind(i))
+    end do
+    sct: do i = 1, n
+      ic(ind(i)) = i
+      id(ind(i)) = id(ind(i)) + 1
+      x(ind(i)) = y(i)
+      w(ind(i)) = w(ind(i)) + 1.0
+    end do
+  end)";
+
+TEST(VmDifferential, EveryOpcodeBitIdentical) {
+  const char *const Loops[] = {"init", "ops", "rd", "gat", "sct"};
+  Harness H(EveryOpcode);
+  for (unsigned T : ThreadCounts) {
+    std::string Ctx = "T=" + std::to_string(T);
+    auto Store = std::make_shared<vm::BytecodeCache>();
+    Interpreter I(*H.P);
+    I.setBytecodeCache(Store);
+    ExecStats Stats;
+    I.run(H.baseOptions(T, ExecEngine::Both), &Stats);
+    ASSERT_FALSE(I.faultState().Faulted) << Ctx << ": "
+                                         << I.faultState().str();
+    EXPECT_EQ(Stats.BothComparisons, 1u) << Ctx;
+    EXPECT_EQ(Stats.BothMismatches, 0u) << Ctx;
+    EXPECT_EQ(Stats.VmBailouts, 0u) << Ctx;
+    EXPECT_EQ(Stats.ParallelLoopRuns, std::size(Loops))
+        << Ctx << ": a loop did not dispatch";
+    EXPECT_EQ(Stats.VmParallelLoopRuns, Stats.ParallelLoopRuns) << Ctx;
+
+    // The programs that ran, read back from the store they were lowered
+    // into: together they hold every opcode.
+    std::set<vm::Op> Seen;
+    for (const char *Label : Loops) {
+      const DoStmt *L = H.P->findLoop(Label);
+      ASSERT_NE(L, nullptr) << Label;
+      const vm::CompileResult &R =
+          Store->getOrCompile(L, [] { return vm::CompileResult{}; });
+      ASSERT_TRUE(R.Ok) << Ctx << ": " << Label << " never lowered";
+      for (const vm::Instr &In : R.Prog.Code)
+        Seen.insert(In.K);
+    }
+    for (unsigned K = 0; K < vm::NumOps; ++K)
+      EXPECT_TRUE(Seen.count(vm::Op(K)))
+          << Ctx << ": no loop holds " << vm::opName(vm::Op(K));
   }
 }
 
@@ -629,6 +822,57 @@ TEST(VmFault, WhileOutOfBoundsMatchesTreeWalk) {
   EXPECT_EQ(Vm.Bound, Tree.Bound);
   EXPECT_TRUE(Vm.InParallel);
   EXPECT_FALSE(Tree.InParallel);
+}
+
+TEST(VmFault, ZeroInnerStepMatchesTreeWalk) {
+  // st(700) = 0 gives iteration 700's inner do a zero step: the VM's
+  // ckstep must fault like the tree walk's step check.
+  Harness H(R"(program t
+    integer i, j, n
+    integer st(1000)
+    real s
+    real x(1000), y(10)
+    n = 1000
+    init: do i = 1, n
+      st(i) = 1
+      x(i) = i * 0.5
+    end do
+    fill: do i = 1, 10
+      y(i) = i * 0.25
+    end do
+    st(700) = 0
+    lp: do i = 1, n
+      s = 0.0
+      do j = 1, 3, st(i)
+        s = s + y(j)
+      end do
+      x(i) = s
+    end do
+  end)");
+  const xform::LoopReport *Rep = H.Plan.reportFor("lp");
+  ASSERT_NE(Rep, nullptr);
+  ASSERT_TRUE(Rep->Parallel) << Rep->WhyNot;
+  RuntimeFault Tree = H.serialFault();
+  ExecStats VmStats;
+  RuntimeFault Vm = reportedFault(H, VmStats);
+  EXPECT_GT(VmStats.VmParallelLoopRuns, 0u);
+  EXPECT_EQ(VmStats.VmBailouts, 0u);
+
+  EXPECT_EQ(Tree.Kind, FaultKind::BadStep);
+  EXPECT_EQ(Tree.Loop, "lp");
+  EXPECT_EQ(Tree.Iteration, 700);
+  EXPECT_EQ(Tree.Var, "j");
+  EXPECT_TRUE(Tree.HasValue);
+  EXPECT_EQ(Tree.Value, 0);
+  EXPECT_EQ(Vm.Kind, Tree.Kind);
+  EXPECT_EQ(Vm.Loc.Line, Tree.Loc.Line);
+  EXPECT_EQ(Vm.Loc.Col, Tree.Loc.Col);
+  EXPECT_EQ(Vm.Loop, Tree.Loop);
+  EXPECT_EQ(Vm.Iteration, Tree.Iteration);
+  EXPECT_EQ(Vm.Var, Tree.Var);
+  EXPECT_EQ(Vm.HasValue, Tree.HasValue);
+  EXPECT_EQ(Vm.Value, Tree.Value);
+  EXPECT_TRUE(Vm.InParallel);
 }
 
 TEST(VmFault, RunawayWhileTripsTheIterationGuard) {

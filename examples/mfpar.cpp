@@ -49,8 +49,9 @@
 //              prints a per-loop health report (dispatch verdict and tiers,
 //              imbalance, analysis-cost share) and writes the full profile
 //              — one record per invocation with its dispatch decision,
-//              per-worker chunk timelines and optional hardware counters —
-//              as JSONL (default profile.jsonl)
+//              bounds and per-worker timeline — as JSONL (default
+//              profile.jsonl); the individual chunks are the --trace
+//              file's "chunk" spans
 //
 // With no file argument it analyzes the paper's Fig. 1(a) example.
 //
@@ -436,10 +437,8 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "mfpar: cannot write %s\n", ProfilePath.c_str());
       return 1;
     }
-    std::printf("profile written to %s (%zu loop records%s)\n",
-                ProfilePath.c_str(), ProfSession.invocations().size(),
-                ProfSession.countersAvailable() ? ", hardware counters on"
-                                                : "");
+    std::printf("profile written to %s (%zu loop records)\n",
+                ProfilePath.c_str(), ProfSession.invocations().size());
   }
 
   if (!RemarksPath.empty()) {

@@ -134,3 +134,56 @@ UseSet SymbolUses::bodyUses(const StmtList &Body) const {
     accumulate(S, U);
   return U;
 }
+
+UseSet SymbolUses::ownUses(const Stmt *S) const {
+  UseSet U;
+  switch (S->kind()) {
+  case StmtKind::Assign:
+  case StmtKind::Call:
+    accumulate(S, U);
+    break;
+  case StmtKind::If:
+    exprReads(cast<IfStmt>(S)->condition(), U);
+    break;
+  case StmtKind::Do: {
+    const auto *DS = cast<DoStmt>(S);
+    U.Writes.insert(DS->indexVar());
+    exprReads(DS->lower(), U);
+    exprReads(DS->upper(), U);
+    if (DS->step())
+      exprReads(DS->step(), U);
+    break;
+  }
+  case StmtKind::While:
+    exprReads(cast<WhileStmt>(S)->condition(), U);
+    break;
+  }
+  return U;
+}
+
+ArraySites::ArraySites(const Program &P, const SymbolUses &Uses) {
+  P.forEachStmt([&](Stmt *S) {
+    UseSet Own = Uses.ownUses(S);
+    Own.Reads.insert(Own.Writes.begin(), Own.Writes.end());
+    for (const Symbol *Y : Own.Reads)
+      if (Y->isArray())
+        Sites[Y].push_back(S);
+  });
+}
+
+bool ArraySites::referencedOutside(const Symbol *X, const DoStmt *L,
+                                   uint64_t *Examined) const {
+  auto It = Sites.find(X);
+  if (It == Sites.end())
+    return false;
+  for (const Stmt *S : It->second) {
+    if (Examined)
+      ++*Examined;
+    const Stmt *P = S;
+    while (P && P != L)
+      P = P->parent();
+    if (!P)
+      return true;
+  }
+  return false;
+}

@@ -18,8 +18,10 @@
 
 #include "mf/Program.h"
 
+#include <cstdint>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 namespace iaa {
 namespace analysis {
@@ -53,6 +55,12 @@ public:
   /// The use set of a statement list (transitive through calls).
   UseSet bodyUses(const mf::StmtList &Body) const;
 
+  /// The symbols \p S itself reads or writes, without its nested
+  /// statements: an assignment's target, subscripts and right-hand side; an
+  /// if or while condition; a do's index, bounds and step; everything a
+  /// call's callee touches.
+  UseSet ownUses(const mf::Stmt *S) const;
+
   /// Collects symbols read by expression \p E (array symbols and all symbols
   /// inside subscripts) into \p Out.
   static void exprReads(const mf::Expr *E, UseSet &Out);
@@ -61,6 +69,24 @@ private:
   void accumulate(const mf::Stmt *S, UseSet &Out) const;
 
   std::unordered_map<const mf::Procedure *, UseSet> ProcUses;
+};
+
+/// The liveness index behind "is array X referenced outside loop L" (the
+/// privatizer's live-out query, the auditor's and the race checker's): each
+/// array's sites, the statements whose own uses (SymbolUses::ownUses)
+/// reference it, so a query climbs only those statements' parent chains.
+class ArraySites {
+public:
+  ArraySites(const mf::Program &P, const SymbolUses &Uses);
+
+  /// True when array \p X is referenced by a statement outside \p L. Adds
+  /// the number of sites examined to \p *Examined when given.
+  bool referencedOutside(const mf::Symbol *X, const mf::DoStmt *L,
+                         uint64_t *Examined = nullptr) const;
+
+private:
+  std::unordered_map<const mf::Symbol *, std::vector<const mf::Stmt *>>
+      Sites;
 };
 
 } // namespace analysis

@@ -144,8 +144,13 @@ InspectionOutcome interp::inspectRuntimeCheck(const RuntimeCheck &C,
              !MaxV.compare_exchange_weak(Cur, Hi2, std::memory_order_relaxed)) {
       }
     });
-    int64_t Range = MaxV.load() - MinV.load() + 1;
-    if (Range > 0 && Range <= std::max<int64_t>(MaxBitsetRange, 8 * N)) {
+    // Values spread across more than half the int64 range overflow the
+    // subtraction; they take the sort path like any other sparse range.
+    int64_t Range = 0;
+    bool Overflow =
+        __builtin_sub_overflow(MaxV.load(), MinV.load(), &Range) ||
+        __builtin_add_overflow(Range, 1, &Range);
+    if (!Overflow && Range <= std::max<int64_t>(MaxBitsetRange, 8 * N)) {
       // Pass 2: byte-per-value bitset; exchange marks and detects the
       // duplicate in one atomic op per element.
       std::unique_ptr<std::atomic<uint8_t>[]> Seen(
@@ -188,54 +193,45 @@ InspectionOutcome interp::inspectRuntimeCheck(const RuntimeCheck &C,
                     "'s extent");
       L = LB.I.data() + (A - 1);
     }
-    std::atomic<int64_t> Bad{NoBad};
-    std::atomic<int> BadWhy{0}; // 1 negative len, 2 non-monotone, 3 overlap.
-    auto Note = [&](std::atomic<int64_t> &BadPos, int64_t K, int Why) {
-      int64_t Cur = BadPos.load(std::memory_order_relaxed);
-      if (K < Cur) {
-        noteBad(BadPos, K);
-        BadWhy.store(Why, std::memory_order_relaxed);
-      }
+    // The failure reason is re-derived from the smallest failing position
+    // after the join, so it always describes the reported position.
+    auto NegativeLength = [&](int64_t K) {
+      return L && C.HasHiLen && L[K] < 0;
     };
+    auto Decreasing = [&](int64_t K) { return V[K] > V[K + 1]; };
+    std::atomic<int64_t> Bad{NoBad};
     forEachBlock(N, Pool, Threads, [&](int64_t Begin, int64_t End) {
       for (int64_t K = Begin; K < End; ++K) {
-        if (L && C.HasHiLen && L[K] < 0) {
-          Note(Bad, K, 1);
+        if (NegativeLength(K)) {
+          noteBad(Bad, K);
           return;
         }
         if (K + 1 >= N)
           continue; // Last iteration has no successor segment.
-        int64_t NextStart = V[K + 1] + C.AccessLo;
-        if (V[K] > V[K + 1]) {
-          Note(Bad, K, 2);
-          return;
-        }
-        if (C.HasHiLen && V[K] + L[K] + C.AccessHiLen >= NextStart) {
-          Note(Bad, K, 3);
-          return;
-        }
-        if (C.HasHiConst && V[K] + C.AccessHiConst >= NextStart) {
-          Note(Bad, K, 3);
+        // Segment bounds in 128 bits: sums of three int64 terms cannot
+        // overflow there, however extreme the offsets and lengths.
+        __int128 NextStart = __int128(V[K + 1]) + C.AccessLo;
+        if (Decreasing(K) ||
+            (C.HasHiLen &&
+             __int128(V[K]) + L[K] + C.AccessHiLen >= NextStart) ||
+            (C.HasHiConst && __int128(V[K]) + C.AccessHiConst >= NextStart)) {
+          noteBad(Bad, K);
           return;
         }
       }
     });
-    if (int64_t K = Bad.load(); K != NoBad) {
-      switch (BadWhy.load()) {
-      case 1:
-        return fail((C.Length ? C.Length->name() : std::string("len")) + "(" +
-                    std::to_string(A + K) + ") = " + std::to_string(L[K]) +
-                    " is negative");
-      case 2:
-        return fail(elem(C, A + K) + " = " + std::to_string(V[K]) +
-                    " exceeds " + elem(C, A + K + 1) + " = " +
-                    std::to_string(V[K + 1]));
-      default:
-        return fail("segment at " + elem(C, A + K) +
-                    " overlaps the next segment");
-      }
-    }
-    return pass();
+    int64_t K = Bad.load();
+    if (K == NoBad)
+      return pass();
+    if (NegativeLength(K))
+      return fail((C.Length ? C.Length->name() : std::string("len")) + "(" +
+                  std::to_string(A + K) + ") = " + std::to_string(L[K]) +
+                  " is negative");
+    if (Decreasing(K))
+      return fail(elem(C, A + K) + " = " + std::to_string(V[K]) +
+                  " exceeds " + elem(C, A + K + 1) + " = " +
+                  std::to_string(V[K + 1]));
+    return fail("segment at " + elem(C, A + K) + " overlaps the next segment");
   }
   }
   return fail("unknown runtime check");

@@ -131,8 +131,8 @@ void publish(ExecStats &S, FaultState &FS) {
 }
 
 /// Raises a structured fault from a context with no frame (memory
-/// allocation, extent pre-computation). Loop/worker attribution is added by
-/// the framed overload inside Exec.
+/// allocation and its extent evaluation). Loop/worker attribution is added
+/// by the framed overload inside Exec.
 [[noreturn]] void faultAt(FaultKind Kind, SourceLoc Loc, std::string Detail,
                           const Symbol *Sym = nullptr, bool HasValue = false,
                           int64_t Value = 0, int64_t Bound = 0) {
@@ -177,6 +177,7 @@ struct Value {
 Memory::Memory(const Program &P, size_t LimitBytes) {
   analysis::GlobalConstants Consts(P);
   Buffers.resize(P.numSymbols());
+  Extents.resize(P.numSymbols());
 
   // Resolve a (possibly symbolic) extent using whole-program constants.
   // Saturating arithmetic keeps a hostile extent expression from tripping
@@ -206,6 +207,9 @@ Memory::Memory(const Program &P, size_t LimitBytes) {
         if (!R)
           faultAt(FaultKind::DivByZero, BE->loc(),
                   "division by zero in array extent");
+        // The one quotient past int64_t, which traps on x86: saturate it.
+        if (L == INT64_MIN && R == -1)
+          return INT64_MAX;
         return L / R;
       default:
         faultAt(FaultKind::Unsupported, BE->loc(),
@@ -230,12 +234,15 @@ Memory::Memory(const Program &P, size_t LimitBytes) {
   // allocation must never take down its neighbors.
   size_t TotalBytes = 0;
 
+  // Every check that can fault runs first, symbol by symbol, and the
+  // buffers are allocated once all passed, so a faulting program allocates
+  // nothing.
+  std::vector<size_t> Counts(P.numSymbols(), 1);
   for (const Symbol *S : P.symbols()) {
-    Buffer &B = Buffers[S->id()];
-    B.Kind = S->elementKind();
-    size_t Elems = 1;
+    size_t &Elems = Counts[S->id()];
     for (unsigned D = 0; D < S->rank(); ++D) {
       int64_t Extent = EvalExtent(S->extent(D));
+      Extents[S->id()].push_back(Extent);
       if (Extent <= 0)
         faultAt(FaultKind::BadExtent, S->extent(D)->loc(),
                 "array extent must be positive", S, /*HasValue=*/true,
@@ -258,10 +265,14 @@ Memory::Memory(const Program &P, size_t LimitBytes) {
               "memory budget exceeded allocating program arrays", S,
               /*HasValue=*/true, static_cast<int64_t>(TotalBytes),
               static_cast<int64_t>(LimitBytes));
+  }
+  for (const Symbol *S : P.symbols()) {
+    Buffer &B = Buffers[S->id()];
+    B.Kind = S->elementKind();
     if (B.Kind == ScalarKind::Int)
-      B.I.assign(Elems, 0);
+      B.I.assign(Counts[S->id()], 0);
     else
-      B.D.assign(Elems, 0.0);
+      B.D.assign(Counts[S->id()], 0.0);
   }
 }
 
@@ -371,6 +382,9 @@ public:
   std::map<const mf::DoStmt *, std::vector<const mf::Symbol *>> LoopWriteSets;
   std::optional<analysis::SymbolUses> UsesForVersions;
 
+  /// The race checker's liveness index, built on its first query.
+  std::optional<analysis::ArraySites> ArraySites;
+
   /// Compiled-bytecode store. Private by default; the daemon's artifact
   /// cache swaps in a per-program shared store (setBytecodeCache) so
   /// concurrent sessions of one cached program lower each loop once.
@@ -400,47 +414,7 @@ public:
   Exec(const Program &P, Memory &Mem, const ExecOptions &Opts,
        ExecStats &Stats, RuntimeCaches &Caches)
       : Prog(P), Mem(Mem), Opts(Opts), Stats(Stats), C(Caches),
-        Cancel(Opts.Cancel) {
-    // Pre-compute per-array dimension extents for subscript linearization.
-    analysis::GlobalConstants Consts(P);
-    DimExtents.resize(P.numSymbols());
-    for (const Symbol *S : P.symbols()) {
-      if (!S->isArray())
-        continue;
-      auto &Out = DimExtents[S->id()];
-      for (unsigned D = 0; D < S->rank(); ++D) {
-        const Expr *E = S->extent(D);
-        sym::SymExpr SE = sym::SymExpr::fromAst(E);
-        int64_t V = 0;
-        if (SE.isConstant()) {
-          V = SE.constValue();
-        } else {
-          // Single-symbol extents were validated by Memory already.
-          bool Found = false;
-          for (const Symbol *Sym2 : P.symbols()) {
-            if (!Sym2->isArray() && SE.equals(sym::SymExpr::var(Sym2)))
-              if (auto C = Consts.valueOf(Sym2)) {
-                V = *C;
-                Found = true;
-                break;
-              }
-          }
-          if (!Found) {
-            // General constant-foldable extent.
-            sym::RangeEnv Env;
-            Consts.bindAll(Env);
-            sym::ConstRange R = sym::evalConstRange(SE, Env);
-            if (R.Lo && R.Hi && *R.Lo == *R.Hi)
-              V = *R.Lo;
-            else
-              faultAt(FaultKind::BadExtent, E->loc(),
-                      "array extent is not a program constant", S);
-          }
-        }
-        Out.push_back(V);
-      }
-    }
-  }
+        Cancel(Opts.Cancel) {}
 
   /// Serial tree-walk state. Workers never tree-walk, so a frame only ever
   /// lives on the thread that called run().
@@ -562,18 +536,10 @@ private:
   /// serially. Compilation is memoized in the session's bytecode store —
   /// including bailouts, so a rejected loop pays the compile attempt only
   /// once no matter how many runs or (under a shared store) sessions
-  /// execute it. The pipeline's structural pre-check (LoopPlan::VmBailout)
-  /// short-circuits loops it already rejected.
-  const vm::CompileResult &vmProgramFor(const DoStmt *DS,
-                                        const xform::LoopPlan *Plan) {
-    const vm::CompileResult &R = C.Bytecode->getOrCompile(DS, [&] {
-      vm::CompileResult New;
-      if (Plan && !Plan->VmEligible && !Plan->VmBailout.empty())
-        New.Bailout = Plan->VmBailout;
-      else
-        New = vm::compileLoop(DS, DimExtents);
-      return New;
-    });
+  /// execute it.
+  const vm::CompileResult &vmProgramFor(const DoStmt *DS) {
+    const vm::CompileResult &R = C.Bytecode->getOrCompile(
+        DS, [&] { return vm::compileLoop(DS, Mem.extents()); });
     // Count the outcome once per *session*, not once per store insert: with
     // a shared store the compile may have happened in another session, but
     // each session still reports every distinct loop it ran on the VM.
@@ -596,7 +562,7 @@ private:
 
   size_t linearIndex(const mf::ArrayRef *AR, Frame &F) {
     const Symbol *S = AR->array();
-    const auto &Ext = DimExtents[S->id()];
+    const std::vector<int64_t> &Ext = Mem.extents()[S->id()];
     size_t Idx = 0;
     for (unsigned D = 0; D < AR->rank(); ++D) {
       int64_t Sub = eval(AR->subscript(D), F).asInt();
@@ -863,18 +829,38 @@ private:
     execSerial(DS, Lo, Up, /*Step=*/1, F, &M);
     Monitors.pop_back();
 
-    // Live-out privatized arrays: the writeback copies the final worker's
-    // private buffer, so any element whose last write is not in the final
-    // iteration would come back stale.
-    for (const Symbol *S : Plan->LiveOutArrays) {
+    // Last values. The writeback copies a live-out array's final-worker
+    // buffer, so an element whose last write is not in the final iteration
+    // comes back stale. A private array that a statement outside the loop
+    // references (liveness derived here, not read off the plan) but that is
+    // missing from LiveOutArrays gets no writeback at all: every element
+    // the loop wrote is lost.
+    auto CheckLastValues = [&](const Symbol *S, bool WrittenBack) {
       auto It = M.Shadow.find(S->id());
       if (It == M.Shadow.end())
-        continue;
+        return;
       const std::vector<int64_t> &W = It->second.Writer;
       for (size_t E = 0; E < W.size(); ++E)
-        if (W[E] != ShadowMonitor::NoIter && W[E] != Up)
+        if (W[E] != ShadowMonitor::NoIter && (!WrittenBack || W[E] != Up))
           recordRace(M, S, E, W[E], Up, RaceKind::LastValueLoss);
+    };
+    for (const Symbol *S : Plan->LiveOutArrays)
+      CheckLastValues(S, /*WrittenBack=*/true);
+    for (const Symbol *S : Plan->PrivateArrays)
+      if (!Plan->LiveOutArrays.count(S) && liveness().referencedOutside(S, DS))
+        CheckLastValues(S, /*WrittenBack=*/false);
+  }
+
+  /// The race checker's own liveness, by the rule the privatizer and the
+  /// auditor apply: an array referenced by a statement outside a loop is
+  /// live after it.
+  const analysis::ArraySites &liveness() {
+    if (!C.ArraySites) {
+      if (!C.UsesForVersions)
+        C.UsesForVersions.emplace(Prog);
+      C.ArraySites.emplace(Prog, *C.UsesForVersions);
     }
+    return *C.ArraySites;
   }
 
   void execBody(const StmtList &Body, Frame &F) {
@@ -957,15 +943,13 @@ private:
   struct Invocation {
     Exec &E;
     const DoStmt *DS;
-    int64_t Lo, Up, NIter;
     /// The plan the loop runs under: its static plan, or its conditional
     /// plan once the inspection passed.
     const xform::LoopPlan *Plan = nullptr;
     /// The plan-marked loop runs serially under the race checker.
     bool Shadowed = false;
+    /// What the stages decided and measured, bounds and trip count first.
     prof::InvocationRecord Rec;
-    prof::LoopRecorder *Prof = nullptr;
-    size_t EventCap = 0;    ///< Chunk events each worker keeps for Prof.
     unsigned ChunksRun = 0; ///< Chunks the dispenser handed out.
     /// A dispatch's transaction: the pre-dispatch snapshot of the loop's
     /// MAY-write set, each worker's private copies, and the
@@ -979,12 +963,10 @@ private:
 
     Invocation(Exec &E, const DoStmt *DS, int64_t Lo, int64_t Up,
                int64_t NIter)
-        : E(E), DS(DS), Lo(Lo), Up(Up), NIter(NIter),
-          AdjustAtEntry(E.VirtualAdjust) {
-      if (E.Opts.Prof && !DS->label().empty()) {
-        Prof = E.Opts.Prof->beginLoop(DS->label(), Lo, Up, NIter);
-        EventCap = Prof->chunkEventCap();
-      }
+        : E(E), DS(DS), AdjustAtEntry(E.VirtualAdjust) {
+      Rec.Lo = Lo;
+      Rec.Up = Up;
+      Rec.NIter = NIter;
     }
     ~Invocation() { E.fold(*this); }
 
@@ -1013,11 +995,12 @@ private:
       Stats.ChunkSecondsMax = std::max(Stats.ChunkSecondsMax,
                                        W.MaxChunkSeconds);
     }
-    if (!Inv.DS->label().empty())
-      Stats.LoopSeconds[Inv.DS->label()] +=
-          R.WallSeconds - (VirtualAdjust - Inv.AdjustAtEntry);
-    if (Inv.Prof)
-      Opts.Prof->endLoop(Inv.Prof, R);
+    if (Inv.DS->label().empty())
+      return;
+    Stats.LoopSeconds[Inv.DS->label()] +=
+        R.WallSeconds - (VirtualAdjust - Inv.AdjustAtEntry);
+    if (Opts.Prof)
+      Opts.Prof->record(Inv.DS->label(), R);
   }
 
   void execDo(const DoStmt *DS, Frame &F) {
@@ -1070,8 +1053,8 @@ private:
     const DoStmt *DS = Inv.DS;
     prof::InvocationRecord &R = Inv.Rec;
     auto WorthForking = [&] {
-      return Inv.NIter >= 2 &&
-             satMul(Inv.NIter, bodyWeight(DS)) >= Opts.MinParallelWork;
+      return Inv.Rec.NIter >= 2 &&
+             satMul(Inv.Rec.NIter, bodyWeight(DS)) >= Opts.MinParallelWork;
     };
     Inv.Plan = Opts.Plans->planFor(DS);
 
@@ -1079,7 +1062,7 @@ private:
     // serially under shadow tags, bypassing the profitability guard so
     // every certified plan is checked regardless of size. It forks
     // nothing, so it stays in the serial tier.
-    if (Inv.Plan && Opts.RaceCheck && Inv.NIter >= 2) {
+    if (Inv.Plan && Opts.RaceCheck && Inv.Rec.NIter >= 2) {
       Inv.Shadowed = true;
       R.Detail = "race-check: plan-marked loop forced serial";
       return nullptr;
@@ -1097,7 +1080,7 @@ private:
         if (WorthForking()) {
           Inspected = true;
           Timer InspectTimer;
-          if (inspectionPasses(DS, *Cond, Inv.Lo, Inv.Up, &R.Detail))
+          if (inspectionPasses(DS, *Cond, Inv.Rec.Lo, Inv.Rec.Up, &R.Detail))
             Inv.Plan = Cond;
           R.InspectSeconds = InspectTimer.seconds();
           R.Kind = prof::DispatchKind::CondSerial;
@@ -1114,7 +1097,7 @@ private:
     // count. The compiler is consulted only here, so a bailout runs the
     // loop serially, in the tier it would have had, with the compiler's
     // reason as its dispatch detail.
-    const vm::CompileResult &Compiled = vmProgramFor(DS, Inv.Plan);
+    const vm::CompileResult &Compiled = vmProgramFor(DS);
     if (!Compiled.Ok) {
       R.Kind = Inspected ? prof::DispatchKind::CondSerial
                          : prof::DispatchKind::Serial;
@@ -1124,7 +1107,7 @@ private:
     R.Kind = Inspected ? prof::DispatchKind::CondParallel
                        : prof::DispatchKind::Parallel;
     R.Threads = static_cast<unsigned>(
-        std::min<int64_t>(std::max(1u, Opts.Threads), Inv.NIter));
+        std::min<int64_t>(std::max(1u, Opts.Threads), Inv.Rec.NIter));
     return &Compiled.Prog;
   }
 
@@ -1147,7 +1130,7 @@ private:
       for (const Symbol *S : loopWriteSet(Inv.DS))
         Inv.Snapshot.emplace_back(S, Mem.buffer(S));
 
-    ChunkDispenser Disp(Inv.Lo, Inv.Up, T);
+    ChunkDispenser Disp(Inv.Rec.Lo, Inv.Rec.Up, T);
     if (Opts.Simulate) {
       runSimulated(Inv, VmProg, Disp);
     } else {
@@ -1223,12 +1206,11 @@ private:
                   int64_t First, int64_t Last, unsigned ChunkId) {
     trace::TraceScope ChunkSpan("chunk", "interp");
     prof::WorkerChunks &WC = Inv.Rec.Workers[W];
-    double Start = Inv.Clock.seconds();
     Timer CT;
     if (!WC.Ran) {
+      WC.FirstStartSeconds = Inv.Clock.seconds();
       buildPrivates(*Inv.Plan, Inv.DS, Inv.Privates[W]);
       WC.Ran = true;
-      WC.FirstStartSeconds = Start;
     }
     vm::ChunkContext VC;
     VC.Mem = &Mem;
@@ -1245,10 +1227,6 @@ private:
     WC.LastIter = Last;
     WC.BusySeconds += Secs;
     WC.MaxChunkSeconds = std::max(WC.MaxChunkSeconds, Secs);
-    if (WC.Events.size() < Inv.EventCap)
-      WC.Events.push_back({ChunkId, First, Last, Start * 1e6, Secs * 1e6});
-    else if (Inv.EventCap)
-      ++WC.EventsDropped;
     if (ChunkSpan.active()) {
       ChunkSpan.arg("worker", std::to_string(W));
       ChunkSpan.arg("chunk", std::to_string(ChunkId));
@@ -1330,7 +1308,7 @@ private:
     FR.InReplay = true;
     Timer ReplayTimer;
     try {
-      execSerial(DS, Inv.Lo, Inv.Up, /*Step=*/1, FR);
+      execSerial(DS, Inv.Rec.Lo, Inv.Rec.Up, /*Step=*/1, FR);
     } catch (FaultException &FE) {
       Inv.Rec.ReplaySeconds = ReplayTimer.seconds();
       Inv.Rec.Detail = "worker fault: replay reproduced the fault";
@@ -1367,7 +1345,7 @@ private:
     // so exactly one worker's highest iteration is Up.
     const std::unordered_map<unsigned, Buffer> *Final = nullptr;
     for (unsigned W = 0; W < Workers.size(); ++W)
-      if (Workers[W].Ran && Workers[W].LastIter == Inv.Up)
+      if (Workers[W].Ran && Workers[W].LastIter == Inv.Rec.Up)
         Final = &Inv.Privates[W];
     if (!Final)
       fault(FaultKind::Internal, Inv.DS->loc(), F,
@@ -1376,7 +1354,7 @@ private:
       Mem.buffer(S) = Final->at(S->id());
     for (const Symbol *S : Plan.PrivateArrays)
       Mem.buffer(S) = Final->at(S->id());
-    setScalar(Inv.DS->indexVar(), Inv.Up + 1);
+    setScalar(Inv.DS->indexVar(), Inv.Rec.Up + 1);
 
     // VM chunks skip the per-write version bumps (they would race); bump
     // everything the loop writes once, after the join and the writebacks,
@@ -1551,7 +1529,6 @@ private:
   RuntimeCaches &C;
   /// The run's cooperative deadline token (null when untimed).
   const CancelToken *Cancel;
-  std::vector<std::vector<int64_t>> DimExtents;
 
   /// Active shadow monitors, innermost last (non-empty only under
   /// ExecOptions::RaceCheck, inside plan-marked loops).

@@ -91,6 +91,11 @@ public:
   Buffer &buffer(const mf::Symbol *S) { return Buffers[S->id()]; }
   const Buffer &buffer(const mf::Symbol *S) const { return Buffers[S->id()]; }
 
+  /// Every symbol's declared extents, one per dimension as the constructor
+  /// evaluated them (empty for a scalar), indexed by symbol id: subscript
+  /// linearization and the bytecode compiler read them from here.
+  const std::vector<std::vector<int64_t>> &extents() const { return Extents; }
+
   int64_t intScalar(const mf::Symbol *S) const { return Buffers[S->id()].I[0]; }
   double realScalar(const mf::Symbol *S) const { return Buffers[S->id()].D[0]; }
 
@@ -106,6 +111,7 @@ public:
 
 private:
   std::vector<Buffer> Buffers;
+  std::vector<std::vector<int64_t>> Extents;
 };
 
 /// The symbol ids whose post-run contents are unspecified under \p Plans
@@ -186,7 +192,7 @@ struct ExecOptions {
   const FaultInjectionHook *Injector = nullptr;
   /// Loop profiling session (prof/Profiler.h); null disables profiling.
   /// The interpreter records, per labeled-loop invocation, the dispatch
-  /// decision, per-worker chunk timelines, and analysis-cost attribution
+  /// decision, per-worker timelines, and analysis-cost attribution
   /// into the session; no hook runs per element access. Observation only:
   /// program results are bit-identical with profiling on or off.
   prof::Session *Prof = nullptr;

@@ -7,7 +7,6 @@
 
 #include "interp/ThreadPool.h"
 
-#include "support/Statistic.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -74,25 +73,15 @@ void WorkerPool::run(unsigned Workers,
   std::lock_guard<std::mutex> RunLock(RunM);
   trace::TraceScope Span("fork-join", "interp");
   Span.arg("workers", std::to_string(Workers));
-  // Workers run with the forking thread's session context installed, so a
-  // shared pool attributes counters and spans to the right session.
-  stat::Collector *SessionStats = stat::currentCollector();
-  trace::Buffer *SessionTrace = trace::currentBuffer();
-  const std::function<void(unsigned)> Wrapped =
-      [&Fn, SessionStats, SessionTrace](unsigned W) {
-        stat::CollectorScope StatScope(SessionStats);
-        trace::BufferScope TraceScope(SessionTrace);
-        Fn(W);
-      };
   {
     std::lock_guard<std::mutex> Lock(M);
-    Job = &Wrapped;
+    Job = &Fn;
     ActiveWorkers = Workers;
     Outstanding = Workers - 1;
     ++Generation;
   }
   WakeCv.notify_all();
-  Fn(0); // The caller already holds its own context.
+  Fn(0);
   std::unique_lock<std::mutex> Lock(M);
   DoneCv.wait(Lock, [&] { return Outstanding == 0; });
   Job = nullptr;

@@ -41,10 +41,9 @@ namespace interp {
 /// fork/join generation belongs to exactly one caller; parallel loops never
 /// nest within a single interpreter.
 ///
-/// Each generation propagates the calling thread's per-session context — the
-/// installed stat::Collector and trace::Buffer — into the workers, so
-/// counters and spans produced inside a shared pool still land in the
-/// session that forked the loop.
+/// Workers run Fn with no per-session context: the VM chunks and
+/// inspection scans they execute increment no statistic, and their trace
+/// spans land in the one process-wide trace buffer.
 class WorkerPool {
 public:
   /// Spawns \p MaxWorkers - 1 parked threads (worker 0 is the caller).

@@ -99,6 +99,8 @@ void Lexer::skipTrivia() {
       continue;
     }
     if (C == '!' || C == '#') {
+      if (C == '!' && peek(1) == '=' && LastTokenLine == Line)
+        BangEqualComments.push_back(currentLoc());
       while (!atEnd() && peek() != '\n')
         advance();
       continue;
@@ -111,6 +113,7 @@ Token Lexer::makeToken(TokenKind Kind) {
   Token T;
   T.Kind = Kind;
   T.Loc = currentLoc();
+  LastTokenLine = Line;
   return T;
 }
 

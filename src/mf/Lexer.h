@@ -33,6 +33,13 @@ public:
   /// skipped so parsing can continue.
   std::vector<Token> lexAll();
 
+  /// Where a comment began with "!=" after code on its line: most likely a
+  /// C-style not-equal (MF spells it "/="), which the parser then reports
+  /// as an error further on.
+  const std::vector<SourceLoc> &bangEqualComments() const {
+    return BangEqualComments;
+  }
+
 private:
   Token lexToken();
   Token makeToken(TokenKind Kind);
@@ -47,6 +54,8 @@ private:
   size_t Pos = 0;
   unsigned Line = 1;
   unsigned Col = 1;
+  unsigned LastTokenLine = 0; ///< Line of the most recent token.
+  std::vector<SourceLoc> BangEqualComments;
 };
 
 } // namespace mf

@@ -25,10 +25,10 @@ IAA_STAT(parse_stmts, "Statements parsed");
 std::unique_ptr<Program> iaa::mf::parseProgram(const std::string &Source,
                                                DiagnosticEngine &Diags) {
   trace::TraceScope Span("parse-program", "frontend");
+  Lexer Lex(Source, Diags);
   std::vector<Token> Tokens;
   {
     trace::TraceScope LexSpan("lex", "frontend");
-    Lexer Lex(Source, Diags);
     Tokens = Lex.lexAll();
     lex_tokens += Tokens.size();
   }
@@ -38,8 +38,13 @@ std::unique_ptr<Program> iaa::mf::parseProgram(const std::string &Source,
     Parser P(std::move(Tokens), Diags);
     Prog = P.parse();
   }
-  if (Diags.hasErrors())
+  if (Diags.hasErrors()) {
+    // The error usually lands past the line whose "!=" began a comment.
+    for (SourceLoc Loc : Lex.bangEqualComments())
+      Diags.note(Loc, "'!=' starts a comment here; MF's not-equal operator "
+                      "is '/='");
     return nullptr;
+  }
   if (Prog) {
     ++parse_programs;
     parse_stmts += Prog->numStmts();

@@ -89,17 +89,7 @@ std::string jsonWorker(const WorkerTimeline &W) {
          ", \"busy_us\": " + json::num(W.BusyUs) +
          ", \"stall_us\": " + json::num(W.StallUs) +
          ", \"first_iter\": " + std::to_string(W.FirstIter) +
-         ", \"last_iter\": " + std::to_string(W.LastIter) +
-         ", \"events_dropped\": " + std::to_string(W.EventsDropped) + "}";
-}
-
-std::string jsonChunk(unsigned Worker, const ChunkEvent &E) {
-  return "{\"worker\": " + std::to_string(Worker) +
-         ", \"chunk\": " + std::to_string(E.Chunk) +
-         ", \"first\": " + std::to_string(E.First) +
-         ", \"last\": " + std::to_string(E.Last) +
-         ", \"start_us\": " + json::num(E.StartUs) +
-         ", \"dur_us\": " + json::num(E.DurUs) + "}";
+         ", \"last_iter\": " + std::to_string(W.LastIter) + "}";
 }
 
 } // namespace
@@ -118,23 +108,10 @@ std::string LoopProfile::jsonLine() const {
                     ", \"wall_us\": " + json::num(WallUs) +
                     ", \"inspect_us\": " + json::num(InspectUs) +
                     ", \"rollback_us\": " + json::num(RollbackUs) +
-                    ", \"replay_us\": " + json::num(ReplayUs);
-  if (Perf.Valid)
-    Out += ", \"perf\": {\"cycles\": " + std::to_string(Perf.Cycles) +
-           ", \"instructions\": " + std::to_string(Perf.Instructions) +
-           ", \"llc_misses\": " + std::to_string(Perf.LlcMisses) + "}";
-  else
-    Out += ", \"perf\": null";
-  Out += ", \"workers\": [";
+                    ", \"replay_us\": " + json::num(ReplayUs) +
+                    ", \"workers\": [";
   for (size_t I = 0; I < Workers.size(); ++I)
     Out += (I ? ", " : "") + jsonWorker(Workers[I]);
-  Out += "], \"chunks\": [";
-  bool First = true;
-  for (const WorkerTimeline &W : Workers)
-    for (const ChunkEvent &E : W.Events) {
-      Out += (First ? "" : ", ") + jsonChunk(W.Worker, E);
-      First = false;
-    }
   Out += "]}";
   return Out;
 }
@@ -178,36 +155,10 @@ std::string LoopHealth::str() const {
 // Session
 //===----------------------------------------------------------------------===//
 
-Session::Session(SessionOptions O) : Opts(O) {}
-
-Session::~Session() = default;
-
-bool Session::countersAvailable() const { return Perf && Perf->available(); }
-
-LoopRecorder *Session::beginLoop(const std::string &Label, int64_t Lo,
-                                 int64_t Up, int64_t NIter) {
-  if (Opts.HardwareCounters && !PerfTried) {
-    PerfTried = true;
-    Perf = std::make_unique<PerfCounters>();
-  }
-  LabelAgg &Agg = Aggregates[Label];
-  auto *R = new LoopRecorder();
-  R->Label = Label;
-  R->Invocation = Agg.Invocations++;
-  R->Light = R->Invocation >= Opts.MaxInvocationsPerLoop;
-  R->MaxChunkEvents = Opts.MaxChunkEventsPerWorker;
-  R->Lo = Lo;
-  R->Up = Up;
-  R->NIter = NIter;
-  if (!R->Light && Perf && Perf->available())
-    R->PerfBegin = Perf->read();
-  return R;
-}
-
-void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
-  std::unique_ptr<LoopRecorder> Owner(R);
+void Session::record(const std::string &Label, const InvocationRecord &Inv) {
   double WallUs = Inv.WallSeconds * 1e6;
-  LabelAgg &Agg = Aggregates[R->Label];
+  LabelAgg &Agg = Aggregates[Label];
+  unsigned Invocation = Agg.Invocations++;
   Agg.WallUs += WallUs;
   Agg.AnalysisUs +=
       (Inv.InspectSeconds + Inv.RollbackSeconds + Inv.ReplaySeconds) * 1e6;
@@ -216,7 +167,7 @@ void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
   ++Agg.Kinds[Inv.Kind];
   if (!Inv.Detail.empty())
     Agg.Detail = Inv.Detail;
-  if (R->Light) {
+  if (Invocation >= MaxInvocationsPerLoop) {
     ++prof_loops_light;
     return;
   }
@@ -224,20 +175,18 @@ void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
   ++Agg.Recorded;
 
   LoopProfile P;
-  P.Label = R->Label;
-  P.Invocation = R->Invocation;
+  P.Label = Label;
+  P.Invocation = Invocation;
   P.Kind = Inv.Kind;
   P.Detail = Inv.Detail;
-  P.Lo = R->Lo;
-  P.Up = R->Up;
-  P.NIter = R->NIter;
+  P.Lo = Inv.Lo;
+  P.Up = Inv.Up;
+  P.NIter = Inv.NIter;
   P.Threads = Inv.Threads;
   P.WallUs = WallUs;
   P.InspectUs = Inv.InspectSeconds * 1e6;
   P.RollbackUs = Inv.RollbackSeconds * 1e6;
   P.ReplayUs = Inv.ReplaySeconds * 1e6;
-  if (Perf && Perf->available() && R->PerfBegin.Valid)
-    P.Perf = Perf->read() - R->PerfBegin;
 
   // Worker timelines: one lane per worker that completed a chunk.
   for (unsigned WId = 0; WId < Inv.Workers.size(); ++WId) {
@@ -257,8 +206,6 @@ void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
     T.StallUs = std::max(0.0, WallUs - T.DispatchUs - T.BusyUs);
     T.FirstIter = W.FirstIter;
     T.LastIter = W.LastIter;
-    T.Events = W.Events;
-    T.EventsDropped = W.EventsDropped;
     P.Workers.push_back(std::move(T));
   }
   // A serial invocation (or a dispatch whose every chunk faulted) has no
@@ -269,8 +216,8 @@ void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
     T.Worker = 0;
     T.Chunks = 1;
     T.BusyUs = WallUs;
-    T.FirstIter = R->Lo;
-    T.LastIter = R->NIter > 0 ? R->Up : R->Lo - 1;
+    T.FirstIter = Inv.Lo;
+    T.LastIter = Inv.NIter > 0 ? Inv.Up : Inv.Lo - 1;
     P.Workers.push_back(std::move(T));
   }
 
@@ -285,12 +232,8 @@ void Session::endLoop(LoopRecorder *R, const InvocationRecord &Inv) {
   Agg.AvgBusySumUs += SumBusy / static_cast<double>(P.Workers.size());
 
   // Counter samples for the Chrome tracer: one track per loop label.
-  if (trace::enabled()) {
+  if (trace::enabled())
     trace::counter("loop-wall-us " + P.Label, P.WallUs);
-    if (P.Perf.Valid)
-      trace::counter("loop-llc-misses " + P.Label,
-                     static_cast<double>(P.Perf.LlcMisses));
-  }
 
   Profiles.push_back(std::move(P));
 }
@@ -386,9 +329,7 @@ std::string Session::healthText(const xform::PipelineResult *Plans) const {
 std::string Session::jsonl(const xform::PipelineResult *Plans) const {
   std::string Out =
       "{\"type\": \"session\", \"max_invocations_per_loop\": " +
-      std::to_string(Opts.MaxInvocationsPerLoop) +
-      ", \"perf_counters\": " + (countersAvailable() ? "true" : "false") +
-      "}\n";
+      std::to_string(MaxInvocationsPerLoop) + "}\n";
   for (const auto &[Name, Secs] : Phases)
     Out += "{\"type\": \"phase\", \"name\": " + json::str(Name) +
            ", \"seconds\": " + json::num(Secs) + "}\n";

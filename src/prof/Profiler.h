@@ -12,12 +12,9 @@
 ///
 ///  - how the invocation was dispatched (serial, below the profitability
 ///    threshold, parallel, conditional pass/fail, replayed) and why;
-///  - a per-worker chunk timeline (dispatch delay, busy/stall seconds,
-///    iteration ranges) built from the chunk summaries the interpreter's
-///    chunk loop keeps;
-///  - optional hardware counters (cycles, instructions, LLC misses) via
-///    perf_event_open, with silent graceful fallback where the syscall is
-///    unavailable (fields become JSON null);
+///  - a per-worker timeline (dispatch delay, busy/stall seconds, iteration
+///    span) built from the chunk summaries the interpreter's chunk loop
+///    keeps; the individual chunks are the trace's "chunk" spans;
 ///  - the analysis tax: seconds spent in inspector scans, fault rollback,
 ///    and serial replay attributed to the loop that paid them.
 ///
@@ -32,11 +29,8 @@
 #ifndef IAA_PROF_PROFILER_H
 #define IAA_PROF_PROFILER_H
 
-#include "prof/PerfCounters.h"
-
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,13 +63,6 @@ enum class DispatchKind {
 
 const char *dispatchKindName(DispatchKind K);
 
-/// One chunk grant as seen by the profiler (times relative to loop entry).
-struct ChunkEvent {
-  unsigned Chunk = 0;
-  int64_t First = 0, Last = 0;
-  double StartUs = 0, DurUs = 0;
-};
-
 /// Per-worker dispatch/execute/stall accounting for one loop invocation.
 struct WorkerTimeline {
   unsigned Worker = 0;
@@ -84,8 +71,6 @@ struct WorkerTimeline {
   double BusyUs = 0;     ///< Sum of chunk execution times.
   double StallUs = 0;    ///< Loop wall minus dispatch minus busy (>= 0).
   int64_t FirstIter = 0, LastIter = 0;
-  std::vector<ChunkEvent> Events; ///< Capped; EventsDropped counts the rest.
-  unsigned EventsDropped = 0;
 };
 
 /// Everything measured for one invocation of one labeled loop.
@@ -101,7 +86,6 @@ struct LoopProfile {
   double InspectUs = 0;  ///< Inspector scans charged to this invocation.
   double RollbackUs = 0; ///< Fault-containment snapshot restore.
   double ReplayUs = 0;   ///< Serial replay after a rollback.
-  PerfSample Perf;       ///< Valid only when hardware counters opened.
   std::vector<WorkerTimeline> Workers;
 
   /// One JSON object (single line, no trailing newline) for JSONL output.
@@ -161,15 +145,14 @@ struct WorkerChunks {
   double MaxChunkSeconds = 0;
   double FirstStartSeconds = 0; ///< Since loop entry (valid when Ran).
   int64_t FirstIter = 0, LastIter = 0; ///< Span of the completed chunks.
-  std::vector<ChunkEvent> Events; ///< Capped; EventsDropped counts the rest.
-  unsigned EventsDropped = 0;
 };
 
 /// What the interpreter decided and measured for one loop invocation. Its
 /// stages fill one record per invocation; the interpreter counts it into
-/// ExecStats and hands it to Session::endLoop, so both views read the same
+/// ExecStats and hands it to Session::record, so both views read the same
 /// values.
 struct InvocationRecord {
+  int64_t Lo = 0, Up = 0, NIter = 0; ///< Evaluated bounds and trip count.
   DispatchKind Kind = DispatchKind::Serial;
   std::string Detail; ///< Failing check, VM bailout, fault note, ...
   unsigned Threads = 1;
@@ -181,68 +164,32 @@ struct InvocationRecord {
   std::vector<WorkerChunks> Workers;
 };
 
-struct SessionOptions {
-  /// Fully recorded invocations per loop label; later invocations are
-  /// counted (wall time, dispatch kind) without a timeline.
-  size_t MaxInvocationsPerLoop = 32;
-  /// Cap on stored chunk events per worker per invocation.
-  size_t MaxChunkEventsPerWorker = 64;
-  /// Attempt to open hardware counters (silently absent when unavailable).
-  bool HardwareCounters = true;
-};
-
-/// A session's handle on one open invocation: who it is and where its
-/// hardware counters started. Everything measured arrives in endLoop's
-/// InvocationRecord.
-class LoopRecorder {
-public:
-  /// Chunk events each worker keeps for this invocation: the session's cap,
-  /// or 0 past the per-label invocation cap (a light record has no
-  /// timeline).
-  size_t chunkEventCap() const { return Light ? 0 : MaxChunkEvents; }
-
-private:
-  friend class Session;
-
-  std::string Label;
-  unsigned Invocation = 0;
-  bool Light = false;
-  size_t MaxChunkEvents = 0;
-  int64_t Lo = 0, Up = 0, NIter = 0;
-  PerfSample PerfBegin;
-};
-
 //===----------------------------------------------------------------------===//
 // Session
 //===----------------------------------------------------------------------===//
 
-/// One profiling session: owns the recorded invocations, the per-label
-/// aggregates behind the health report, and the optional hardware-counter
-/// group. beginLoop/endLoop are called from the interpreter's serial
-/// context only (never from inside a parallel region); a session may span
-/// several Interpreter::run calls and accumulates across them.
+/// One profiling session: owns the recorded invocations and the per-label
+/// aggregates behind the health report. record() is called from the
+/// interpreter's serial context only (never from inside a parallel
+/// region); a session may span several Interpreter::run calls and
+/// accumulates across them.
 class Session {
 public:
-  explicit Session(SessionOptions O = {});
-  ~Session();
+  /// Fully recorded invocations per loop label; later invocations are
+  /// counted in the label's aggregate (wall time, dispatch kind) without a
+  /// loop record.
+  static constexpr unsigned MaxInvocationsPerLoop = 32;
+
+  Session() = default;
 
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
 
-  const SessionOptions &options() const { return Opts; }
-
-  /// True when the hardware-counter group opened successfully.
-  bool countersAvailable() const;
-
-  /// Starts recording one invocation of the loop labeled \p Label. Returns
-  /// a light recorder past the per-label invocation cap.
-  LoopRecorder *beginLoop(const std::string &Label, int64_t Lo, int64_t Up,
-                          int64_t NIter);
-
-  /// Builds the profile of \p R from \p Inv (timelines, counter deltas),
-  /// stores it, folds it into the label aggregate, emits trace counter
-  /// samples when tracing is on, and deletes the recorder.
-  void endLoop(LoopRecorder *R, const InvocationRecord &Inv);
+  /// Folds one finished invocation of the loop labeled \p Label into the
+  /// label's aggregate and, under the per-label cap, stores its profile
+  /// (timelines included) and emits a trace counter sample when tracing
+  /// is on.
+  void record(const std::string &Label, const InvocationRecord &Inv);
 
   /// Attributes a program-level analysis cost (pipeline, audit, ...) to
   /// the session; shows up as a "phase" JSONL record.
@@ -281,9 +228,6 @@ private:
     std::string Detail;
   };
 
-  SessionOptions Opts;
-  std::unique_ptr<PerfCounters> Perf; ///< Lazily opened on first beginLoop.
-  bool PerfTried = false;
   std::vector<LoopProfile> Profiles;
   std::map<std::string, LabelAgg> Aggregates;
   std::vector<std::pair<std::string, double>> Phases;

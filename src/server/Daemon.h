@@ -13,9 +13,9 @@
 /// connection with {"status":"shed","retry_after_ms":N} instead of letting
 /// load build unbounded — graceful degradation, not collapse.
 ///
-/// Shared across every request: the fork/join WorkerPool (forks serialize,
-/// observability context travels with each generation), the artifact cache,
-/// and the deadline watchdog. Faults, blown deadlines, and over-budget
+/// Shared across every request: the fork/join WorkerPool (forks serialize;
+/// workers count nothing, so they need no session context), the artifact
+/// cache, and the deadline watchdog. Faults, blown deadlines, and over-budget
 /// allocations are contained per request by the interpreter's transaction
 /// machinery; the daemon itself never dies with a tenant.
 ///

@@ -67,7 +67,7 @@ bool asBool(const json::Value &V, bool &Out) {
 constexpr const char *RequestFields[] = {
     "id", "op", "source", "mode", "threads", "engine", "audit",
     "runtime_checks", "on_fault", "simulate", "profile", "counters",
-    "remarks", "trace", "deadline_ms", "mem_limit_mb"};
+    "remarks", "deadline_ms", "mem_limit_mb"};
 
 bool isRequestField(const std::string &Name) {
   return std::find(std::begin(RequestFields), std::end(RequestFields),
@@ -218,12 +218,6 @@ std::optional<Request> server::parseRequest(const std::string &Line,
       return std::nullopt;
     }
   }
-  if (const json::Value *V = Doc->member("trace")) {
-    if (!asBool(*V, R.Trace)) {
-      Err = "'trace' must be a boolean";
-      return std::nullopt;
-    }
-  }
   if (const json::Value *V = Doc->member("deadline_ms")) {
     if (!asBoundedU64(*V, 86400000, R.DeadlineMs)) {
       Err = "'deadline_ms' must be an integer between 0 and 86400000";
@@ -274,8 +268,6 @@ std::string Response::toJsonLine() const {
     Out += ", \"counters\": " + CountersJson;
   if (!StatsJson.empty())
     Out += ", \"service\": " + StatsJson;
-  if (HasTraceEvents)
-    Out += ", \"trace_events\": " + std::to_string(TraceEvents);
   Out += "}";
   return Out;
 }

@@ -18,7 +18,7 @@
 ///                 "audit"?: "off"|"warn"|"strict",
 ///                 "runtime_checks"?: bool, "on_fault"?: "report"|"replay",
 ///                 "simulate"?: bool, "profile"?: bool, "counters"?: bool,
-///                 "remarks"?: bool, "trace"?: bool,
+///                 "remarks"?: bool,
 ///                 "deadline_ms"?: int, "mem_limit_mb"?: int }
 ///   response := { "id": string, "status": "ok" | "pong" | "bye" | "error"
 ///                 | "fault" | "shed", ... }
@@ -74,7 +74,6 @@ struct Request {
   bool Profile = false;  ///< Inline the per-loop profile JSONL in the reply.
   bool Counters = false; ///< Inline the session's statistic counters.
   bool Remarks = false;  ///< Inline optimization remarks JSONL.
-  bool Trace = false;    ///< Record this run into the session trace buffer.
   uint64_t DeadlineMs = 0;  ///< 0 = use the server default.
   uint64_t MemLimitMb = 0;  ///< 0 = use the server default.
 
@@ -117,8 +116,6 @@ struct Response {
   std::string ProfileJsonl;  ///< When requested: per-loop profile records.
   std::string CountersJson;  ///< When requested: session counters object.
   std::string StatsJson;     ///< Op::Stats: service health object.
-  uint64_t TraceEvents = 0;  ///< When tracing: session trace buffer depth.
-  bool HasTraceEvents = false;
 
   std::string toJsonLine() const;
 };

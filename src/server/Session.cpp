@@ -9,15 +9,12 @@
 
 #include "prof/Profiler.h"
 #include "support/Json.h"
+#include "support/Remarks.h"
 
 using namespace iaa;
 using namespace iaa::server;
 
-Session::Session(SessionEnv E) : Env(E) {
-  // Bound the per-session trace ring: a long-lived connection tracing many
-  // runs must not grow without limit (drops are counted, not silent).
-  Trace.setMaxEvents(1 << 14);
-}
+Session::Session(SessionEnv E) : Env(E) {}
 
 Session::ProgramState &Session::stateFor(const Request &R, bool &CacheHit) {
   // Content-keyed like the artifact cache: the full source, never a hash
@@ -105,9 +102,6 @@ Response Session::handleRun(const Request &R) {
   interp::Memory Mem = PS.Interp->run(Opts, &RunStats);
   const interp::FaultState &FS = PS.Interp->faultState();
 
-  if (!RunStats.FaultRemarks.empty())
-    Remarks.add(RunStats.FaultRemarks);
-
   if (FS.Faulted) {
     Resp.St = Response::Status::Fault;
     Resp.FaultKind = interp::faultKindName(FS.Fault.Kind);
@@ -139,10 +133,6 @@ Response Session::handleRun(const Request &R) {
     Resp.ProfileJsonl = Prof.jsonl(&PS.Art->Plans);
   if (R.Counters)
     Resp.CountersJson = Stats.json();
-  if (R.Trace) {
-    Resp.HasTraceEvents = true;
-    Resp.TraceEvents = Trace.eventCount();
-  }
   return Resp;
 }
 
@@ -197,11 +187,10 @@ Response Session::handle(const Request &R) {
   if (Env.Counters)
     Env.Counters->Requests.fetch_add(1, std::memory_order_relaxed);
 
-  // Install the session's observability context for the request. The
-  // worker pool re-installs it inside workers per fork/join generation,
-  // so a shared pool still attributes to this session.
+  // Every statistic the request increments is incremented on this thread
+  // (workers count nothing), so installing the collector here attributes
+  // all of them to this session.
   stat::CollectorScope StatScope(&Stats);
-  trace::BufferScope TraceScope(R.Trace ? &Trace : nullptr);
 
   switch (R.Kind) {
   case Op::Run:

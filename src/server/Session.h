@@ -12,19 +12,19 @@
 ///   | state                    | pre-daemon home      | session home       |
 ///   |--------------------------|----------------------|--------------------|
 ///   | statistic counters       | static registry      | stat::Collector    |
-///   | trace events             | process ring buffer  | trace::Buffer      |
-///   | optimization remarks     | stdout / files       | RemarkSink         |
 ///   | loop profile             | caller's Session     | per-request        |
 ///   | interpreter caches       | per-run Exec         | per-Interpreter    |
 ///   | compiled bytecode        | per-run Exec         | per-artifact store |
 ///
-/// handle() installs the session's collector and (when tracing) trace
-/// buffer for the duration of the request; the WorkerPool re-installs them
-/// inside its workers per fork/join generation, so even runs sharing the
-/// daemon's pool attribute observability to the right session. Two
-/// concurrent sessions therefore never see each other's counters, spans,
-/// remarks, verdict caches, or memory — the zero-cross-contamination
-/// guarantee the SessionIsolation tests pin down.
+/// handle() installs the session's collector on the service thread for the
+/// duration of the request. Every statistic a request increments is
+/// incremented there: pool workers run VM chunks and inspection scans,
+/// which count nothing, and the interpreter publishes its run counts from
+/// the serial context. Optimization and fault remarks reach the client
+/// only in the reply that asked for them ("remarks": true). Two concurrent
+/// sessions therefore never see each other's counters, remarks, verdict
+/// caches, or memory — the zero-cross-contamination guarantee the
+/// SessionIsolation tests pin down.
 ///
 /// Sessions are not thread-safe; the daemon drives each from exactly one
 /// service thread. Different sessions run fully concurrently.
@@ -38,9 +38,7 @@
 #include "server/ArtifactCache.h"
 #include "server/Protocol.h"
 #include "server/Watchdog.h"
-#include "support/Remarks.h"
 #include "support/Statistic.h"
-#include "support/Trace.h"
 
 #include <atomic>
 #include <map>
@@ -92,9 +90,6 @@ public:
   /// Session-cumulative statistic counters (what "counters": true inlines).
   const stat::Collector &counters() const { return Stats; }
 
-  /// Session-cumulative remark sink (pipeline + fault remarks).
-  const RemarkSink &remarks() const { return Remarks; }
-
   /// Requests this session has handled.
   uint64_t requestsHandled() const { return Handled; }
 
@@ -112,7 +107,7 @@ private:
   /// MaxPrograms entries the least-recently-used state is recycled —
   /// releasing its artifact pin and interpreter (with any private pool) —
   /// so a long-lived connection cycling through distinct programs cannot
-  /// grow daemon memory without bound, mirroring the bounded trace ring.
+  /// grow daemon memory without bound.
   struct ProgramState {
     std::shared_ptr<const Artifact> Art; ///< Pins the Program + plans.
     std::unique_ptr<interp::Interpreter> Interp;
@@ -123,8 +118,6 @@ private:
 
   SessionEnv Env;
   stat::Collector Stats;
-  trace::Buffer Trace;
-  RemarkSink Remarks;
   std::map<std::string, ProgramState> Programs;
   uint64_t ProgramClock = 0;
   uint64_t Handled = 0;

@@ -61,32 +61,3 @@ std::string iaa::remarksJsonl(const std::vector<Remark> &Remarks) {
     Out += R.jsonLine() + "\n";
   return Out;
 }
-
-void RemarkSink::add(Remark R) {
-  std::lock_guard<std::mutex> Lock(M);
-  Items.push_back(std::move(R));
-}
-
-void RemarkSink::add(const std::vector<Remark> &Rs) {
-  std::lock_guard<std::mutex> Lock(M);
-  Items.insert(Items.end(), Rs.begin(), Rs.end());
-}
-
-size_t RemarkSink::size() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Items.size();
-}
-
-std::vector<Remark> RemarkSink::all() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Items;
-}
-
-std::vector<Remark> RemarkSink::take() {
-  std::lock_guard<std::mutex> Lock(M);
-  return std::move(Items);
-}
-
-std::string RemarkSink::text() const { return remarksText(all()); }
-
-std::string RemarkSink::jsonl() const { return remarksJsonl(all()); }

@@ -18,7 +18,6 @@
 #ifndef IAA_SUPPORT_REMARKS_H
 #define IAA_SUPPORT_REMARKS_H
 
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,34 +62,6 @@ std::string remarksText(const std::vector<Remark> &Remarks);
 
 /// Renders \p Remarks as JSONL (one record per line).
 std::string remarksJsonl(const std::vector<Remark> &Remarks);
-
-/// Accumulates remarks from the phases of one request (pipeline, audit,
-/// fault replay) into a single ordered stream. Each session/request owns
-/// its own sink, so a multi-tenant process never interleaves one tenant's
-/// remarks into another's report. Thread-safe.
-class RemarkSink {
-public:
-  void add(Remark R);
-  void add(const std::vector<Remark> &Rs);
-
-  size_t size() const;
-
-  /// Snapshot of everything collected so far, in arrival order.
-  std::vector<Remark> all() const;
-
-  /// Moves the collected remarks out, leaving the sink empty.
-  std::vector<Remark> take();
-
-  /// remarksText over the collected remarks.
-  std::string text() const;
-
-  /// remarksJsonl over the collected remarks.
-  std::string jsonl() const;
-
-private:
-  mutable std::mutex M;
-  std::vector<Remark> Items;
-};
 
 } // namespace iaa
 

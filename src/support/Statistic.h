@@ -26,10 +26,11 @@
 /// process-wide counters: request A's inspections would show up in request
 /// B's report. A stat::Collector is the per-session overlay — installed
 /// thread-locally via CollectorScope, it additionally receives every
-/// increment made on the installing thread (and on worker threads the
-/// WorkerPool propagates it to), so a session can report exactly the
-/// counter deltas its own requests produced while the global registry keeps
-/// its process-wide totals.
+/// increment made on the installing thread, so a session can report
+/// exactly the counter deltas its own requests produced while the global
+/// registry keeps its process-wide totals. Pool workers install no
+/// collector: the VM chunks and inspection scans they run increment no
+/// statistic (a traced process's trace_dropped aside).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +52,8 @@ class Statistic;
 
 /// Per-session counter overlay: accumulates the deltas of every increment
 /// made while the collector is installed (CollectorScope / currentCollector)
-/// on the incrementing thread. Thread-safe — one session's pool workers all
-/// funnel into the same collector.
+/// on the incrementing thread. Thread-safe, so a reader may snapshot it
+/// while its session increments.
 class Collector {
 public:
   /// Adds \p N to this collector's delta for \p S.
@@ -83,8 +84,7 @@ Collector *currentCollector();
 
 /// RAII installation of a per-session collector on the current thread.
 /// Nests: the previous collector is restored on destruction. Installing
-/// null is a no-op overlay (increments go only to the global registry),
-/// which lets context propagation be unconditional.
+/// null is a no-op overlay (increments go only to the global registry).
 class CollectorScope {
 public:
   explicit CollectorScope(Collector *C);

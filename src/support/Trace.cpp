@@ -25,70 +25,84 @@ std::atomic<bool> iaa::trace::detail::Enabled{false};
 
 namespace {
 
-/// The buffer receiving this thread's spans, or null for the process-wide
-/// one. File-local for the reason given at Statistic.cpp's TlsCollector.
-thread_local Buffer *TlsBuffer = nullptr;
-
 using Clock = std::chrono::steady_clock;
 
 constexpr size_t DefaultMaxEvents = size_t(1) << 18;
 
-/// Dense thread ids: assigned once per thread on first traced span, from a
-/// process-wide counter so ids stay unique across per-session buffers.
+/// Dense thread ids: assigned once per thread on first traced span.
 uint32_t currentTid() {
   static std::atomic<uint32_t> NextTid{0};
   thread_local uint32_t Tid = NextTid.fetch_add(1, std::memory_order_relaxed);
   return Tid;
 }
 
-} // namespace
-
-struct Buffer::Impl {
-  mutable std::mutex Mutex;
+/// The process-wide span buffer: a bounded deque of events with its time
+/// origin and drop counter. Spans close on whichever thread opened them,
+/// pool workers included, so every access takes the mutex.
+struct Buffer {
+  std::mutex Mutex;
   std::deque<Event> Events;
   size_t MaxEvents = DefaultMaxEvents;
   size_t Dropped = 0;
   Clock::time_point Origin = Clock::now();
+
+  /// Microseconds since the time origin.
+  double nowMicros() const {
+    return std::chrono::duration<double, std::micro>(Clock::now() - Origin)
+        .count();
+  }
+
+  /// Appends under the cap, discarding the oldest event when full.
+  void append(Event E) {
+    bool DroppedOne = false;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      if (Events.size() >= MaxEvents) {
+        Events.pop_front();
+        ++Dropped;
+        DroppedOne = true;
+      }
+      Events.push_back(std::move(E));
+    }
+    if (DroppedOne)
+      ++trace_dropped;
+  }
 };
 
-Buffer::Buffer() : I(new Impl) {}
-Buffer::~Buffer() { delete I; }
-
-void Buffer::append(Event E) {
-  bool DroppedOne = false;
-  {
-    std::lock_guard<std::mutex> Lock(I->Mutex);
-    if (I->Events.size() >= I->MaxEvents) {
-      I->Events.pop_front();
-      ++I->Dropped;
-      DroppedOne = true;
-    }
-    I->Events.push_back(std::move(E));
-  }
-  if (DroppedOne)
-    ++trace_dropped;
+Buffer &buffer() {
+  static Buffer B;
+  return B;
 }
 
-void Buffer::clear() {
-  std::lock_guard<std::mutex> Lock(I->Mutex);
-  I->Events.clear();
-  I->Dropped = 0;
-  I->Origin = Clock::now();
+} // namespace
+
+void iaa::trace::enable(bool On) {
+  detail::Enabled.store(On, std::memory_order_relaxed);
 }
 
-size_t Buffer::eventCount() const {
-  std::lock_guard<std::mutex> Lock(I->Mutex);
-  return I->Events.size();
+void iaa::trace::clear() {
+  Buffer &B = buffer();
+  std::lock_guard<std::mutex> Lock(B.Mutex);
+  B.Events.clear();
+  B.Dropped = 0;
+  B.Origin = Clock::now();
 }
 
-void Buffer::setMaxEvents(size_t Max) {
+size_t iaa::trace::eventCount() {
+  Buffer &B = buffer();
+  std::lock_guard<std::mutex> Lock(B.Mutex);
+  return B.Events.size();
+}
+
+void iaa::trace::setMaxEvents(size_t Max) {
+  Buffer &B = buffer();
   size_t DroppedNow = 0;
   {
-    std::lock_guard<std::mutex> Lock(I->Mutex);
-    I->MaxEvents = Max == 0 ? DefaultMaxEvents : Max;
-    while (I->Events.size() > I->MaxEvents) {
-      I->Events.pop_front();
-      ++I->Dropped;
+    std::lock_guard<std::mutex> Lock(B.Mutex);
+    B.MaxEvents = Max == 0 ? DefaultMaxEvents : Max;
+    while (B.Events.size() > B.MaxEvents) {
+      B.Events.pop_front();
+      ++B.Dropped;
       ++DroppedNow;
     }
   }
@@ -96,22 +110,54 @@ void Buffer::setMaxEvents(size_t Max) {
     trace_dropped += DroppedNow;
 }
 
-size_t Buffer::droppedCount() const {
-  std::lock_guard<std::mutex> Lock(I->Mutex);
-  return I->Dropped;
+size_t iaa::trace::droppedCount() {
+  Buffer &B = buffer();
+  std::lock_guard<std::mutex> Lock(B.Mutex);
+  return B.Dropped;
 }
 
-double Buffer::nowMicros() const {
-  return std::chrono::duration<double, std::micro>(Clock::now() - I->Origin)
-      .count();
+std::vector<Event> iaa::trace::events() {
+  Buffer &B = buffer();
+  std::lock_guard<std::mutex> Lock(B.Mutex);
+  return std::vector<Event>(B.Events.begin(), B.Events.end());
 }
 
-std::vector<Event> Buffer::events() const {
-  std::lock_guard<std::mutex> Lock(I->Mutex);
-  return std::vector<Event>(I->Events.begin(), I->Events.end());
+void iaa::trace::counter(const std::string &Name, double Value) {
+  if (!enabled())
+    return;
+  Buffer &B = buffer();
+  Event E;
+  E.Name = Name;
+  E.Cat = "counter";
+  E.Ph = 'C';
+  E.TsMicros = B.nowMicros();
+  E.Value = Value;
+  E.Tid = currentTid();
+  B.append(std::move(E));
 }
 
-std::string Buffer::json() const {
+void TraceScope::begin(const char *N, const char *C) {
+  Active = true;
+  Name = N;
+  Cat = C;
+  (void)currentTid(); // Assign the tid before timing starts.
+  StartMicros = buffer().nowMicros();
+}
+
+void TraceScope::end() {
+  Buffer &B = buffer();
+  double End = B.nowMicros();
+  Event E;
+  E.Name = Name;
+  E.Cat = Cat;
+  E.TsMicros = StartMicros;
+  E.DurMicros = End - StartMicros;
+  E.Tid = currentTid();
+  E.Args = std::move(Args);
+  B.append(std::move(E));
+}
+
+std::string iaa::trace::json() {
   std::vector<Event> Evs = events();
   size_t Dropped = droppedCount();
   std::string Out = "{\"traceEvents\": [";
@@ -149,84 +195,10 @@ std::string Buffer::json() const {
   return Out;
 }
 
-bool Buffer::writeJson(const std::string &Path) const {
+bool iaa::trace::writeJson(const std::string &Path) {
   std::ofstream Out(Path);
   if (!Out)
     return false;
   Out << json();
   return static_cast<bool>(Out);
-}
-
-namespace {
-
-Buffer &globalBuffer() {
-  static Buffer B;
-  return B;
-}
-
-/// The buffer this thread's spans land in: the installed per-session one,
-/// else the process-wide one.
-Buffer &targetBuffer() { return TlsBuffer ? *TlsBuffer : globalBuffer(); }
-
-} // namespace
-
-Buffer *iaa::trace::currentBuffer() { return TlsBuffer; }
-
-BufferScope::BufferScope(Buffer *B) : Prev(TlsBuffer) { TlsBuffer = B; }
-
-BufferScope::~BufferScope() { TlsBuffer = Prev; }
-
-void iaa::trace::enable(bool On) {
-  detail::Enabled.store(On, std::memory_order_relaxed);
-}
-
-void iaa::trace::clear() { targetBuffer().clear(); }
-
-size_t iaa::trace::eventCount() { return targetBuffer().eventCount(); }
-
-void iaa::trace::setMaxEvents(size_t Max) { targetBuffer().setMaxEvents(Max); }
-
-size_t iaa::trace::droppedCount() { return targetBuffer().droppedCount(); }
-
-std::vector<Event> iaa::trace::events() { return targetBuffer().events(); }
-
-void iaa::trace::counter(const std::string &Name, double Value) {
-  if (!enabled())
-    return;
-  Buffer &B = targetBuffer();
-  Event E;
-  E.Name = Name;
-  E.Cat = "counter";
-  E.Ph = 'C';
-  E.TsMicros = B.nowMicros();
-  E.Value = Value;
-  E.Tid = currentTid();
-  B.append(std::move(E));
-}
-
-void TraceScope::begin(const char *N, const char *C) {
-  Active = true;
-  Name = N;
-  Cat = C;
-  (void)currentTid(); // Assign the tid before timing starts.
-  StartMicros = targetBuffer().nowMicros();
-}
-
-void TraceScope::end() {
-  Buffer &B = targetBuffer();
-  double End = B.nowMicros();
-  Event E;
-  E.Name = Name;
-  E.Cat = Cat;
-  E.TsMicros = StartMicros;
-  E.DurMicros = End - StartMicros;
-  E.Tid = currentTid();
-  E.Args = std::move(Args);
-  B.append(std::move(E));
-}
-
-std::string iaa::trace::json() { return targetBuffer().json(); }
-
-bool iaa::trace::writeJson(const std::string &Path) {
-  return targetBuffer().writeJson(Path);
 }

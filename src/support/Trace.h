@@ -25,12 +25,8 @@
 /// dense thread id, so fork/join parallel loops render as per-thread
 /// swimlanes exposing work imbalance and fork/join overhead.
 ///
-/// Events land in a trace::Buffer. One process-wide buffer backs the free
-/// functions below (the mfpar --trace flag); a multi-tenant process (the
-/// mfpard daemon) instead installs a per-session Buffer thread-locally via
-/// BufferScope so concurrent requests never interleave spans — the
-/// WorkerPool propagates the installing thread's buffer to its workers for
-/// the duration of each parallel region.
+/// Events land in one bounded process-wide buffer (the mfpar --trace flag,
+/// perfbench's traced runs); a span opened on a pool worker lands there too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,25 +42,14 @@
 namespace iaa {
 namespace trace {
 
-class Buffer;
-
 namespace detail {
 extern std::atomic<bool> Enabled;
 } // namespace detail
 
-/// The per-session buffer installed on this thread, or null when spans go
-/// to the process-wide buffer. The thread-local behind it is private to
-/// Trace.cpp, which does every read and write (as Statistic.cpp does for
-/// its collector, and for the same reason).
-Buffer *currentBuffer();
-
-/// True when span collection is on: either globally (trace::enable) or
-/// because a per-session buffer is installed on this thread. One relaxed
-/// atomic load plus one call — still the only cost instrumented code pays
-/// when tracing is disabled.
+/// True when span collection is on (trace::enable). One relaxed atomic
+/// load: the only cost instrumented code pays when tracing is disabled.
 inline bool enabled() {
-  return detail::Enabled.load(std::memory_order_relaxed) ||
-         currentBuffer() != nullptr;
+  return detail::Enabled.load(std::memory_order_relaxed);
 }
 
 /// Turns collection on or off. Enabling does not clear prior events.
@@ -113,64 +98,6 @@ std::string json();
 
 /// Writes json() to \p Path; false on I/O failure.
 bool writeJson(const std::string &Path);
-
-/// One span buffer: a bounded deque of events with its own time origin and
-/// drop counter. The free functions above operate on the current thread's
-/// buffer (the process-wide instance when none is installed); sessions own
-/// private instances and install them with BufferScope. All methods are
-/// thread-safe.
-class Buffer {
-public:
-  Buffer();
-  ~Buffer();
-
-  Buffer(const Buffer &) = delete;
-  Buffer &operator=(const Buffer &) = delete;
-
-  /// Appends under the buffer cap, discarding the oldest event when full
-  /// (counted by droppedCount() and the trace_dropped statistic).
-  void append(Event E);
-
-  /// Drops all events and resets the time origin and the dropped count.
-  void clear();
-
-  size_t eventCount() const;
-
-  /// Caps the buffer; \p Max = 0 restores the default (1<<18 events).
-  void setMaxEvents(size_t Max);
-
-  size_t droppedCount() const;
-
-  /// Microseconds since this buffer's time origin.
-  double nowMicros() const;
-
-  std::vector<Event> events() const;
-
-  /// Chrome trace-event JSON document over this buffer's events.
-  std::string json() const;
-
-  /// Writes json() to \p Path; false on I/O failure.
-  bool writeJson(const std::string &Path) const;
-
-private:
-  struct Impl;
-  Impl *I;
-};
-
-/// RAII installation of a per-session buffer on the current thread. Nests;
-/// installing null routes spans back to the process-wide buffer, which lets
-/// context propagation be unconditional.
-class BufferScope {
-public:
-  explicit BufferScope(Buffer *B);
-  ~BufferScope();
-
-  BufferScope(const BufferScope &) = delete;
-  BufferScope &operator=(const BufferScope &) = delete;
-
-private:
-  Buffer *Prev;
-};
 
 /// RAII span. Inactive (a no-op) when tracing is disabled at construction.
 class TraceScope {

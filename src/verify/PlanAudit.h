@@ -48,7 +48,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace iaa {
@@ -143,8 +142,8 @@ private:
   class LoopAuditContext;
 
   /// True when array \p X is referenced by a statement outside \p L: the
-  /// auditor's own liveness, answered from ArraySites, which the first
-  /// query builds.
+  /// auditor's own liveness, answered from Sites (over the auditor's own
+  /// symbol uses), which the first query builds.
   bool referencedOutside(const mf::Symbol *X, const mf::DoStmt *L);
 
   mf::Program &Prog;
@@ -152,11 +151,7 @@ private:
   cfg::Hcg G;
   analysis::GlobalConstants Consts;
   analysis::PropertySolver Solver;
-  /// Array -> the statements that reference it in their own expressions
-  /// (nested statements count on their own).
-  std::optional<std::unordered_map<const mf::Symbol *,
-                                   std::vector<const mf::Stmt *>>>
-      ArraySites;
+  std::optional<analysis::ArraySites> Sites;
 };
 
 /// How audit verdicts feed back into execution (mfpar --audit=MODE).

@@ -207,45 +207,6 @@ bool isReductionUpdate(const AssignStmt *AS, const Symbol *S) {
   return !U.reads(S);
 }
 
-/// The symbols \p S itself reads or writes, without its nested statements:
-/// an assignment's target, subscripts and right-hand side; the condition of
-/// an if or while; a do's index, bounds and step; everything a call's
-/// callee touches.
-UseSet ownUses(const Stmt *S, const SymbolUses &Uses) {
-  UseSet U;
-  switch (S->kind()) {
-  case StmtKind::Assign: {
-    const auto *AS = cast<AssignStmt>(S);
-    U.Writes.insert(AS->writtenSymbol());
-    SymbolUses::exprReads(AS->rhs(), U);
-    if (const ArrayRef *T = AS->arrayTarget())
-      for (const Expr *Sub : T->subscripts())
-        SymbolUses::exprReads(Sub, U);
-    break;
-  }
-  case StmtKind::If:
-    SymbolUses::exprReads(cast<IfStmt>(S)->condition(), U);
-    break;
-  case StmtKind::Do: {
-    const auto *DS = cast<DoStmt>(S);
-    U.Writes.insert(DS->indexVar());
-    SymbolUses::exprReads(DS->lower(), U);
-    SymbolUses::exprReads(DS->upper(), U);
-    if (DS->step())
-      SymbolUses::exprReads(DS->step(), U);
-    break;
-  }
-  case StmtKind::While:
-    SymbolUses::exprReads(cast<WhileStmt>(S)->condition(), U);
-    break;
-  case StmtKind::Call:
-    if (const Procedure *Callee = cast<CallStmt>(S)->callee())
-      U.merge(Uses.procedureUses(Callee));
-    break;
-  }
-  return U;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -483,7 +444,7 @@ bool PlanAuditor::LoopAuditContext::reductionPremiseOk(const Symbol *S,
       Why = S->name() + " doubles as an inner loop index";
       return;
     }
-    if (ownUses(St, A.Uses).touches(S)) {
+    if (A.Uses.ownUses(St).touches(S)) {
       OK = false;
       Why = S->name() + " is used outside the reduction update";
     }
@@ -1120,27 +1081,9 @@ PlanAuditor::PlanAuditor(Program &P)
     : Prog(P), Uses(P), G(P), Consts(P), Solver(G, Uses) {}
 
 bool PlanAuditor::referencedOutside(const Symbol *X, const DoStmt *L) {
-  if (!ArraySites) {
-    ArraySites.emplace();
-    Prog.forEachStmt([&](Stmt *S) {
-      UseSet U = ownUses(S, Uses);
-      U.Reads.insert(U.Writes.begin(), U.Writes.end());
-      for (const Symbol *Y : U.Reads)
-        if (Y->isArray())
-          (*ArraySites)[Y].push_back(S);
-    });
-  }
-  auto It = ArraySites->find(X);
-  if (It == ArraySites->end())
-    return false;
-  for (const Stmt *S : It->second) {
-    const Stmt *P = S;
-    while (P && P != L)
-      P = P->parent();
-    if (!P)
-      return true;
-  }
-  return false;
+  if (!Sites)
+    Sites.emplace(Prog, Uses);
+  return Sites->referencedOutside(X, L);
 }
 
 LoopAudit PlanAuditor::auditLoop(const DoStmt *L,

@@ -106,50 +106,6 @@ bool matchGather(const Expr *Subscript, GatherShape &Out) {
   return true;
 }
 
-/// Shared structural walk behind structuralBailout(): returns the first
-/// reason a statement list cannot lower, or null.
-const char *structuralWalk(const StmtList &Body, int Depth) {
-  if (Depth > MaxInlineDepth)
-    return "call chain too deep to inline";
-  for (const Stmt *S : Body) {
-    switch (S->kind()) {
-    case StmtKind::Assign:
-      break;
-    case StmtKind::While:
-      if (const char *R = structuralWalk(cast<WhileStmt>(S)->body(), Depth))
-        return R;
-      break;
-    case StmtKind::Call: {
-      const auto *CS = cast<CallStmt>(S);
-      if (!CS->callee())
-        return "call to unresolved procedure";
-      if (const char *R = structuralWalk(CS->callee()->body(), Depth + 1))
-        return R;
-      break;
-    }
-    case StmtKind::If: {
-      const auto *IS = cast<IfStmt>(S);
-      if (const char *R = structuralWalk(IS->thenBody(), Depth))
-        return R;
-      if (const char *R = structuralWalk(IS->elseBody(), Depth))
-        return R;
-      break;
-    }
-    case StmtKind::Do: {
-      const auto *DS = cast<DoStmt>(S);
-      if (DS->indexVar()->elementKind() != ScalarKind::Int)
-        return "non-integer loop index variable";
-      if (DS->indexVar()->isArray())
-        return "array used as loop index variable";
-      if (const char *R = structuralWalk(DS->body(), Depth))
-        return R;
-      break;
-    }
-    }
-  }
-  return nullptr;
-}
-
 /// True for the ops whose Imm is a jump target.
 bool jumps(Op K) {
   return K == Op::Jmp || K == Op::JmpZ || K == Op::JmpNZ ||
@@ -704,13 +660,6 @@ private:
 };
 
 } // namespace
-
-const char *vm::structuralBailout(const DoStmt *DS) {
-  if (DS->indexVar()->elementKind() != ScalarKind::Int ||
-      DS->indexVar()->isArray())
-    return "non-integer loop index variable";
-  return structuralWalk(DS->body(), 0);
-}
 
 CompileResult vm::compileLoop(
     const DoStmt *DS, const std::vector<std::vector<int64_t>> &DimExtents) {

@@ -18,11 +18,8 @@
 /// a *bailout*, and the loop runs serially on the tree-walking interpreter.
 /// Bailing out is always correct; compiling is only a speed change, never a
 /// semantic one (the differential oracle in --engine=both enforces exactly
-/// that).
-///
-/// structuralBailout() is the extent-free subset of the bailout taxonomy,
-/// usable at pipeline time (xform marks LoopPlan::VmEligible with it);
-/// compileLoop() is authoritative and can still bail on run-resolved facts.
+/// that). The interpreter compiles a loop the first time a plan would fork
+/// it, and BytecodeCache memoizes the outcome, bailouts included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,15 +45,9 @@ struct CompileResult {
   std::string Bailout; ///< Why the loop cannot lower (empty when Ok).
 };
 
-/// Purely structural pre-check of the bailout taxonomy (no extents needed):
-/// returns the first reason \p DS cannot lower, or null when the body looks
-/// compilable. Used by the pipeline to mark plan eligibility; the compiler
-/// below remains authoritative.
-const char *structuralBailout(const mf::DoStmt *DS);
-
 /// Lowers the body of \p DS against \p DimExtents (per-symbol declared
-/// extents resolved to run constants, indexed by symbol id — the same table
-/// the interpreter's subscript linearization uses).
+/// extents indexed by symbol id: interp::Memory::extents(), the table the
+/// interpreter's subscript linearization reads too).
 CompileResult compileLoop(const mf::DoStmt *DS,
                           const std::vector<std::vector<int64_t>> &DimExtents);
 

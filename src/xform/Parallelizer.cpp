@@ -11,7 +11,6 @@
 #include "support/Timer.h"
 #include "support/TimerGroup.h"
 #include "support/Trace.h"
-#include "vm/Compiler.h"
 #include "xform/Passes.h"
 
 #include <optional>
@@ -209,10 +208,6 @@ PipelineResult iaa::xform::parallelize(Program &P, PipelineMode Mode) {
     Rep.Label = L->label();
     LoopSpan.arg("loop", Rep.Label.empty() ? "<unlabeled>" : Rep.Label);
 
-    // The loop's conservative write footprint (LoopPlan::WriteEffects):
-    // what a transactional dispatch must snapshot to be able to roll back.
-    analysis::UseSet BodyUses = Uses.bodyUses(L->body());
-
     // 1. Dependence test without privatization to find the arrays that
     //    actually need it.
     deptest::LoopDepResult First = Dep.testLoop(L, {});
@@ -228,8 +223,6 @@ PipelineResult iaa::xform::parallelize(Program &P, PipelineMode Mode) {
     bool PrivOk = true;
     LoopPlan Plan;
     Plan.Loop = L;
-    Plan.WriteEffects.insert(BodyUses.Writes.begin(), BodyUses.Writes.end());
-    Plan.WriteEffects.insert(L->indexVar());
     if (EnablePrivatization) {
       Pv = Priv.analyze(L);
       Rep.PropertyQueries += Pv.PropertyQueries;
@@ -372,16 +365,6 @@ PipelineResult iaa::xform::parallelize(Program &P, PipelineMode Mode) {
     LoopSpan.arg("parallel", Rep.Parallel          ? "yes"
                  : Rep.RuntimeConditional          ? "conditional"
                                                    : "no");
-
-    // Mark bytecode-VM eligibility for loops that can dispatch parallel
-    // (statically or conditionally). Structural only — the VM compiler
-    // remains authoritative at execution time and can still bail out.
-    if (Plan.Parallel || Plan.RuntimeConditional) {
-      if (const char *Why = vm::structuralBailout(L))
-        Plan.VmBailout = Why;
-      else
-        Plan.VmEligible = true;
-    }
 
     Result.Remarks.push_back(remarkFor(Rep, Plan));
     Result.Plans.emplace(L, std::move(Plan));

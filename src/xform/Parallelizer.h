@@ -76,19 +76,6 @@ struct LoopPlan {
   /// The runtime checks a recurrence-promoted loop would have carried
   /// without the facts (empty for plans that are not recurrence-promoted).
   std::vector<deptest::RuntimeCheck> FallbackChecks;
-  /// Every symbol the loop body MAY write (transitively through calls),
-  /// including the index variable — the loop's conservative write
-  /// footprint. The fault-containment runtime snapshots exactly this set
-  /// before a transactional parallel dispatch, so a rolled-back loop
-  /// restores every buffer the body could have touched.
-  std::set<const mf::Symbol *> WriteEffects;
-  /// True when the loop body passed the bytecode compiler's structural
-  /// pre-check (vm/Compiler.h), so its dispatched chunks can run on the
-  /// register VM. Advisory — the VM compiler can still bail at execution
-  /// time, and VmBailout records why a structurally-ineligible body runs
-  /// serially instead. Only set for plans that can dispatch parallel.
-  bool VmEligible = false;
-  std::string VmBailout;
 };
 
 /// Analysis record for one loop (feeds Table 3).

@@ -623,34 +623,6 @@ struct ScalarWalk {
   }
 };
 
-/// The symbols \p S itself reads or writes, without its nested statements:
-/// an assignment's target, subscripts and right-hand side; an if or while
-/// condition; a do's bounds and step; everything a call's callee touches.
-UseSet ownUses(const Stmt *S, const SymbolUses &Uses) {
-  UseSet U;
-  switch (S->kind()) {
-  case StmtKind::Assign:
-  case StmtKind::Call:
-    U = Uses.stmtUses(S);
-    break;
-  case StmtKind::If:
-    SymbolUses::exprReads(cast<IfStmt>(S)->condition(), U);
-    break;
-  case StmtKind::Do: {
-    const auto *DS = cast<DoStmt>(S);
-    SymbolUses::exprReads(DS->lower(), U);
-    SymbolUses::exprReads(DS->upper(), U);
-    if (DS->step())
-      SymbolUses::exprReads(DS->step(), U);
-    break;
-  }
-  case StmtKind::While:
-    SymbolUses::exprReads(cast<WhileStmt>(S)->condition(), U);
-    break;
-  }
-  return U;
-}
-
 /// Finds scalar sum reductions: every access to s in the body is the single
 /// statement `s = s + e` (or `s = e + s`) with e independent of s.
 void findReductions(const DoStmt *L, const SymbolUses &Uses,
@@ -691,7 +663,7 @@ void findReductions(const DoStmt *L, const SymbolUses &Uses,
       }
     }
     // Count uses of every scalar in this statement.
-    UseSet U = ownUses(S, Uses);
+    UseSet U = Uses.ownUses(S);
     if (IsRed) {
       RedCandidates[RedVar].push_back(AS);
       // The reduction statement's own read/write of RedVar is expected;
@@ -729,28 +701,12 @@ IAA_STAT(priv_liveout_sites_examined,
          "Statements the live-out query examined");
 
 bool Privatizer::referencedOutside(const Symbol *X, const DoStmt *L) {
-  if (!Sites) {
-    Sites.emplace();
-    G.program().forEachStmt([&](Stmt *S) {
-      UseSet Own = ownUses(S, Uses);
-      Own.Reads.insert(Own.Writes.begin(), Own.Writes.end());
-      for (const Symbol *Y : Own.Reads)
-        if (Y->isArray())
-          (*Sites)[Y].push_back(S);
-    });
-  }
-  auto It = Sites->find(X);
-  if (It == Sites->end())
-    return false;
-  for (const Stmt *S : It->second) {
-    ++priv_liveout_sites_examined;
-    const Stmt *P = S;
-    while (P && P != L)
-      P = P->parent();
-    if (!P)
-      return true;
-  }
-  return false;
+  if (!Sites)
+    Sites.emplace(G.program(), Uses);
+  uint64_t Examined = 0;
+  bool Outside = Sites->referencedOutside(X, L, &Examined);
+  priv_liveout_sites_examined += Examined;
+  return Outside;
 }
 
 PrivatizationResult Privatizer::analyze(const DoStmt *L) {

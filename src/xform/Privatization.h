@@ -38,7 +38,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace iaa {
@@ -107,12 +106,7 @@ private:
   analysis::GlobalConstants Consts;
   analysis::PropertySolver Solver;
   bool EnableIAA;
-  /// Array -> the statements whose own part references it: an assignment
-  /// or call as a whole, the condition of an if or while, the bounds and
-  /// step of a do (never a compound statement's children).
-  std::optional<std::unordered_map<const mf::Symbol *,
-                                   std::vector<const mf::Stmt *>>>
-      Sites;
+  std::optional<analysis::ArraySites> Sites;
 };
 
 } // namespace xform

@@ -248,6 +248,7 @@ TEST(DaemonProtocol, UnknownFieldsAreRejected) {
       {"locality", "\"locality\": \"off\""},
       {"schedule", "\"schedule\": \"static\""},
       {"chunk", "\"chunk\": 4"},
+      {"trace", "\"trace\": true"},
   };
   for (const auto &[Field, Extra] : Cases) {
     std::string Out =
@@ -259,9 +260,16 @@ TEST(DaemonProtocol, UnknownFieldsAreRejected) {
     ASSERT_NE(Error, nullptr) << Field << " was accepted: " << Out;
     EXPECT_EQ(Error->S, "unknown field '" + std::string(Field) + "'") << Out;
   }
-  // The same source with only grammar fields runs.
+  // The same source with only grammar fields runs, and so does a frame
+  // with exactly the field set perfbench's daemon pass sends.
   expectStatus(S, requestLine("u", "run", healthySource(),
                               "\"deadline_ms\": 60000"),
+               "ok");
+  expectStatus(S, requestLine("p", "run", healthySource(),
+                              "\"mode\": \"full\", \"audit\": \"warn\", "
+                              "\"engine\": \"vm\", \"runtime_checks\": true, "
+                              "\"on_fault\": \"replay\", \"threads\": 4, "
+                              "\"simulate\": false"),
                "ok");
 }
 
@@ -553,21 +561,28 @@ TEST(SessionIsolation, CountersArePerSession) {
 }
 
 TEST(SessionIsolation, FaultRemarksStayInTheFaultingSession) {
+  // Fault remarks reach a client only in the reply to the run that
+  // faulted: the faulting reply carries its replay remark, and a clean
+  // run in another session, sharing the pool and cache, carries none.
   SessionHarness H;
   Session Faulty(H.env());
   Session Clean(H.env());
-  Faulty.handleLine(requestLine("f", "run", parallelOobSource(),
-                                "\"remarks\": true"));
-  std::string Out = Clean.handleLine(
+  std::string FOut = Faulty.handleLine(requestLine(
+      "f", "run", parallelOobSource(), "\"remarks\": true"));
+  std::string COut = Clean.handleLine(
       requestLine("c", "run", healthySource(), "\"remarks\": true"));
-  std::optional<json::Value> V = json::parse(Out);
-  ASSERT_TRUE(V.has_value());
-  const json::Value *Remarks = V->member("remarks_jsonl");
-  ASSERT_NE(Remarks, nullptr) << Out;
-  EXPECT_EQ(Remarks->S.find("fault"), std::string::npos)
-      << "clean session leaked the faulting session's remarks";
-  EXPECT_GE(Faulty.remarks().size(), 1u);
-  EXPECT_EQ(Clean.remarks().size(), 0u);
+  std::optional<json::Value> FV = json::parse(FOut);
+  std::optional<json::Value> CV = json::parse(COut);
+  ASSERT_TRUE(FV && CV);
+  const json::Value *FRemarks = FV->member("remarks_jsonl");
+  const json::Value *CRemarks = CV->member("remarks_jsonl");
+  ASSERT_NE(FRemarks, nullptr) << FOut;
+  ASSERT_NE(CRemarks, nullptr) << COut;
+  EXPECT_NE(FRemarks->S.find("\"kind\": \"fault-replay\""),
+            std::string::npos)
+      << "faulting reply lacks its fault remark: " << FOut;
+  EXPECT_EQ(CRemarks->S.find("fault"), std::string::npos)
+      << "clean session leaked the faulting session's remarks: " << COut;
 }
 
 TEST(SessionIsolation, FaultDoesNotPoisonSubsequentRuns) {

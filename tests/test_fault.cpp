@@ -189,6 +189,23 @@ TEST(FaultAlloc, SaturatedExtentExpressionFaults) {
   EXPECT_EQ(I.faultState().Fault.Kind, FaultKind::BadExtent);
 }
 
+TEST(FaultAlloc, SaturatedExtentDividedByMinusOneFaults) {
+  // The dividend saturates to INT64_MIN; dividing it by -1 must saturate
+  // too (the hardware divide traps) and then trip the allocation cap.
+  auto P = parseOrDie(R"(program t
+    real x((0 - 9223372036854775807 - 9) / (0 - 1))
+    x(1) = 1.0
+  end)");
+  Interpreter I(*P);
+  I.run(ExecOptions{});
+  const FaultState &FS = I.faultState();
+  ASSERT_TRUE(FS.Faulted);
+  EXPECT_EQ(FS.Fault.Kind, FaultKind::BadExtent);
+  EXPECT_NE(FS.Fault.Detail.find("overflows the allocation limit"),
+            std::string::npos)
+      << FS.Fault.Detail;
+}
+
 //===----------------------------------------------------------------------===//
 // Parallel containment: first-fault-wins, cancellation, rollback
 //===----------------------------------------------------------------------===//
@@ -637,26 +654,53 @@ TEST(FaultContain, ReportedFaultStillCountsItsTier) {
 }
 
 //===----------------------------------------------------------------------===//
-// Plan write-effects export
+// The transaction's footprint
 //===----------------------------------------------------------------------===//
 
-TEST(FaultPlan, WriteEffectsCoverLoopFootprint) {
-  Harness H(SharedScale);
-  const DoStmt *L = H.P->findLoop("lp");
-  ASSERT_NE(L, nullptr);
-  const xform::LoopPlan *Plan = H.Plan.planFor(L);
-  ASSERT_NE(Plan, nullptr);
-  const Symbol *X = H.P->findSymbol("x");
-  const Symbol *Idx = H.P->findSymbol("i");
-  ASSERT_NE(X, nullptr);
-  ASSERT_NE(Idx, nullptr);
-  EXPECT_TRUE(Plan->WriteEffects.count(X))
-      << "the written array is the loop's write footprint";
-  EXPECT_TRUE(Plan->WriteEffects.count(Idx))
-      << "the index variable is always part of the footprint";
-  const Symbol *N = H.P->findSymbol("n");
-  ASSERT_NE(N, nullptr);
-  EXPECT_FALSE(Plan->WriteEffects.count(N)) << "read-only symbols excluded";
+TEST(FaultContain, SnapshotCoversConditionalWrites) {
+  // The snapshot holds every buffer the loop body MAY write: after a
+  // reported fault, y (written only on a branch) is restored bit for bit
+  // along with x, and z (only read) is untouched.
+  Harness H(R"(program t
+    integer i, n
+    real x(2000), y(2000), z(2000)
+    n = 2000
+    init: do i = 1, n
+      x(i) = i * 0.5
+      y(i) = i * 0.25
+      z(i) = 1.0
+    end do
+    lp: do i = 1, n
+      x(i) = x(i) * 2.0 + 1.0
+      if (i > 1000) then
+        y(i) = y(i) + z(i)
+      end if
+    end do
+  end)");
+  const xform::LoopReport *Rep = H.Plan.reportFor("lp");
+  ASSERT_NE(Rep, nullptr);
+  ASSERT_TRUE(Rep->Parallel) << Rep->WhyNot;
+  verify::FaultInjector Inj;
+  Inj.faultAt("lp", 1500);
+  Interpreter I(*H.P);
+  ExecOptions Opts;
+  Opts.Plans = &H.Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.OnFault = FaultAction::Report;
+  Opts.Injector = &Inj;
+  Memory M = I.run(Opts);
+  ASSERT_TRUE(I.faultState().Faulted);
+  ASSERT_EQ(I.faultState().Rollbacks, 1u);
+  const Buffer &X = M.buffer(H.P->findSymbol("x"));
+  const Buffer &Y = M.buffer(H.P->findSymbol("y"));
+  const Buffer &Z = M.buffer(H.P->findSymbol("z"));
+  ASSERT_EQ(Y.D.size(), 2000u);
+  for (size_t E = 0; E < Y.D.size(); ++E) {
+    ASSERT_EQ(X.D[E], (E + 1) * 0.5) << "element " << E;
+    ASSERT_EQ(Y.D[E], (E + 1) * 0.25) << "element " << E;
+    ASSERT_EQ(Z.D[E], 1.0) << "element " << E;
+  }
 }
 
 } // namespace

@@ -257,6 +257,39 @@ TEST(Parser, ErrorLabelOnNonLoop) {
   end)");
 }
 
+TEST(Parser, BangEqualGetsANoteAtTheComment) {
+  // '!' starts a comment anywhere on a line, so C's "!=" swallows the rest
+  // of the condition and the error lands on the next line. A note points
+  // back at the "!=" and names MF's operator.
+  DiagnosticEngine Diags;
+  EXPECT_EQ(parseProgram("program t\n"
+                         "  integer t, s\n"
+                         "  t = 1\n"
+                         "  s = 2\n"
+                         "  if (t != s) then\n"
+                         "    t = s\n"
+                         "  end if\n"
+                         "end\n",
+                         Diags),
+            nullptr);
+  ASSERT_TRUE(Diags.hasErrors());
+  const Diagnostic &Last = Diags.diagnostics().back();
+  EXPECT_EQ(Last.Kind, DiagKind::Note);
+  EXPECT_EQ(Last.Loc.Line, 5u);
+  EXPECT_EQ(Last.Loc.Col, 9u);
+  EXPECT_NE(Last.Message.find("'/='"), std::string::npos) << Last.Message;
+
+  // A program that parses keeps every comment silent, "!=" included.
+  DiagnosticEngine Clean;
+  EXPECT_NE(parseProgram("program t\n"
+                         "  integer t\n"
+                         "  t = 1 != a comment, not an operator\n"
+                         "end\n",
+                         Clean),
+            nullptr);
+  EXPECT_TRUE(Clean.diagnostics().empty()) << Clean.str();
+}
+
 TEST(Parser, RoundTripPrinting) {
   const char *Src = R"(program t
     integer i, n, p

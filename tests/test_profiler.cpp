@@ -10,9 +10,9 @@
 /// conditional dispatch outcomes are attributed per invocation; the
 /// profiler's dispatch tiers agree with ExecStats under the race checker;
 /// the invocation cap demotes later invocations to light (counted,
-/// timeline-free) records; the JSONL export round-trips
-/// through the strict parser and is reproducible run to run; and absent
-/// hardware counters degrade to "perf": null rather than failing.
+/// timeline-free) records; and the JSONL export round-trips through the
+/// strict parser and, with the trace's chunk spans, is reproducible run to
+/// run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "interp/Interpreter.h"
 #include "prof/Profiler.h"
 #include "support/Json.h"
+#include "support/Trace.h"
 #include "verify/FaultInjector.h"
 #include "xform/Parallelizer.h"
 
@@ -46,9 +47,9 @@ struct Profiled {
   xform::PipelineResult Plan;
   prof::Session S;
 
-  explicit Profiled(const std::string &Source, prof::SessionOptions O = {})
+  explicit Profiled(const std::string &Source)
       : P(parseOrDie(Source)),
-        Plan(xform::parallelize(*P, xform::PipelineMode::Full)), S(O) {}
+        Plan(xform::parallelize(*P, xform::PipelineMode::Full)) {}
 
   /// Serial run without plans.
   void runSerial() {
@@ -92,7 +93,7 @@ TEST(ProfilerInvariance, ChecksumsBitIdenticalAcrossThreadCounts) {
     Opts.Plans = &Plan;
     Opts.Threads = T;
     Opts.MinParallelWork = 0;
-    prof::Session Prof; // Default options, as mfpar --profile uses.
+    prof::Session Prof;
     Opts.Prof = &Prof;
     Memory M = I.run(Opts);
     EXPECT_EQ(M.checksumExcluding(Dead), Want) << "T=" << T;
@@ -323,7 +324,9 @@ TEST(ProfilerExport, JsonlRoundTripsThroughStrictParser) {
     else if (Type->S == "loop") {
       ++LoopRecords;
       EXPECT_NE(V->member("workers"), nullptr) << Line;
-      EXPECT_NE(V->member("perf"), nullptr) << Line;
+      // Chunks are the trace's spans, not a second list here.
+      EXPECT_EQ(V->member("chunks"), nullptr) << Line;
+      EXPECT_EQ(V->member("perf"), nullptr) << Line;
       // The engine follows from the dispatch kind: dispatched invocations
       // ran VM chunks, every other one the serial tree walk.
       const json::Value *Dispatch = V->member("dispatch");
@@ -348,77 +351,46 @@ TEST(ProfilerExport, JsonlRoundTripsThroughStrictParser) {
   EXPECT_EQ(HealthRecords, H.S.health(&H.Plan).size());
 }
 
-TEST(ProfilerExport, MissingHardwareCountersDegradeToNull) {
-  Profiled H(R"(program t
-    integer i, n
-    real x(100)
-    n = 100
-    lp: do i = 1, n
-      x(i) = i * 2.0
-    end do
-  end)");
-  H.runSerial();
-  // On hosts without perf_event access the session must still produce
-  // complete records with "perf": null — never fail or omit the field.
-  if (!H.S.countersAvailable()) {
-    for (const prof::LoopProfile &LP : H.S.invocations()) {
-      EXPECT_FALSE(LP.Perf.Valid);
-      EXPECT_NE(LP.jsonLine().find("\"perf\": null"), std::string::npos);
-    }
-  } else {
-    // Counters opened: the deltas must be populated and sane.
-    for (const prof::LoopProfile &LP : H.S.invocations()) {
-      if (LP.Perf.Valid) {
-        EXPECT_GT(LP.Perf.Cycles, 0u);
-      }
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Determinism
 //===----------------------------------------------------------------------===//
 
 /// Strips wall-clock noise from a profiler JSONL dump: every timing value
-/// (any key ending in _us, plus the timing-derived health percentages),
-/// the global chunk-dispatch sequence number (which races across workers),
-/// and the perf object are zeroed. The chunk-to-worker assignment is
-/// normalized away too: guided chunks go to whichever worker grabs first,
-/// but the sequence of chunk ranges depends only on the shared cursor. So
-/// each loop record's worker lanes are dropped and its chunk list becomes
-/// the sorted set of its chunk ranges, and two runs of the same program
-/// compare byte-identical iff the dispatch kinds, tiers, iteration ranges
-/// and each invocation's chunk ranges were identical.
+/// (any key ending in _us, plus the timing-derived health percentages) is
+/// zeroed, and each loop record's worker lanes are dropped, because guided
+/// chunks go to whichever worker grabs first. Two runs of the same program
+/// compare byte-identical iff the dispatch kinds, tiers and iteration
+/// ranges were identical.
 std::string normalizedJsonl(prof::Session &S,
                             const xform::PipelineResult *Plans) {
   std::string Out = S.jsonl(Plans);
   Out = std::regex_replace(
       Out,
-      std::regex("\"([a-z_]*_us|seconds|imbalance_pct|analysis_pct|chunk)\": "
+      std::regex("\"([a-z_]*_us|seconds|imbalance_pct|analysis_pct)\": "
                  "[-+0-9.eE]+"),
       "\"$1\": 0");
-  Out = std::regex_replace(
-      Out, std::regex("\"perf\": (null|\\{[^}]*\\})"), "\"perf\": null");
-  Out = std::regex_replace(Out, std::regex("\"workers\": \\[[^\\]]*\\]"),
-                           "\"workers\": []");
-  const std::regex ChunkList("\"chunks\": \\[([^\\]]*)\\]");
-  const std::regex Range("\"first\": (-?[0-9]+), \"last\": (-?[0-9]+)");
-  std::string Norm;
-  std::smatch M;
-  while (std::regex_search(Out, M, ChunkList)) {
-    std::set<std::pair<long long, long long>> Ranges;
-    std::string List = M[1];
-    for (std::sregex_iterator It(List.begin(), List.end(), Range), End;
-         It != End; ++It)
-      Ranges.insert({std::stoll((*It)[1]), std::stoll((*It)[2])});
-    std::string Sorted;
-    for (const auto &[First, Last] : Ranges)
-      Sorted += (Sorted.empty() ? "[" : ", [") + std::to_string(First) +
-                ", " + std::to_string(Last) + "]";
-    Norm += M.prefix().str() + "\"chunks\": [" + Sorted + "]";
-    Out = M.suffix().str();
+  return std::regex_replace(Out, std::regex("\"workers\": \\[[^\\]]*\\]"),
+                            "\"workers\": []");
+}
+
+/// The iteration range of every "chunk" span in the trace, sorted. Which
+/// worker ran a chunk, and the dispense-order id, race across workers; the
+/// sequence of chunk ranges depends only on the shared cursor.
+std::multiset<std::pair<int64_t, int64_t>> chunkRanges() {
+  std::multiset<std::pair<int64_t, int64_t>> Ranges;
+  for (const trace::Event &E : trace::events()) {
+    if (E.Name != "chunk")
+      continue;
+    int64_t First = 0, Last = 0;
+    for (const auto &[Key, Val] : E.Args) {
+      if (Key == "first")
+        First = std::stoll(Val);
+      else if (Key == "last")
+        Last = std::stoll(Val);
+    }
+    Ranges.insert({First, Last});
   }
-  return Norm + Out;
+  return Ranges;
 }
 
 const char *DeterminismKernel = R"(program t
@@ -438,18 +410,26 @@ const char *DeterminismKernel = R"(program t
 
 TEST(ProfilerDeterminism, TwoRunsProduceByteIdenticalNormalizedJsonl) {
   // Two fresh sessions over the same program must record the same
-  // dispatch kinds, iteration ranges, tiers and chunk ranges; timings and
-  // the chunk->worker assignment are normalized away.
-  prof::SessionOptions O;
-  O.HardwareCounters = false;
+  // dispatch kinds, iteration ranges and tiers, and the trace the same
+  // chunk ranges; timings and the chunk->worker assignment are normalized
+  // away.
   std::string Dump[2];
+  std::multiset<std::pair<int64_t, int64_t>> Chunks[2];
   for (int Run = 0; Run < 2; ++Run) {
-    Profiled H(DeterminismKernel, O);
+    Profiled H(DeterminismKernel);
+    trace::clear();
+    trace::enable(true);
     H.runParallel(4, /*RuntimeChecks=*/true);
+    trace::enable(false);
     Dump[Run] = normalizedJsonl(H.S, &H.Plan);
+    Chunks[Run] = chunkRanges();
   }
+  trace::clear();
   EXPECT_FALSE(Dump[0].empty());
   EXPECT_EQ(Dump[0], Dump[1]) << "profiles must be reproducible run-to-run";
+  EXPECT_FALSE(Chunks[0].empty());
+  EXPECT_EQ(Chunks[0], Chunks[1])
+      << "chunk ranges must be reproducible run-to-run";
 }
 
 } // namespace

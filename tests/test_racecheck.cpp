@@ -209,6 +209,40 @@ TEST(RaceCheck, SkipLastValueLosesTheLiveOutElement) {
   EXPECT_TRUE(SawExposed);
 }
 
+TEST(RaceCheck, DroppedWritebackLosesEveryWrittenElement) {
+  // Audit.LivenessIsReDerivedNotReadOffThePlan's program: t is read after
+  // lp only as the step of `after`. The plan privatizes t but leaves it
+  // out of LiveOutArrays, so the writeback is dropped; the checker derives
+  // t's liveness itself and reports every element lp wrote as lost (at
+  // T=4 the dropped writeback faults `after` with a zero step).
+  Harness R(R"(program p
+    integer i, k, c
+    integer t(300)
+    real s(300)
+    c = 0
+    lp: do i = 1, 300
+      do k = i, 300
+        t(k) = i
+      end do
+      s(i) = t(i) * 2.0
+    end do
+    after: do k = 1, 30000, t(2)
+      c = c + k
+    end do
+  end)");
+  ASSERT_TRUE(
+      applyMutation(R.Plan, *R.P, {MutationKind::SkipLastValue, "lp", "t"}));
+  R.Plan.Plans.at(R.P->findLoop("lp"))
+      .LiveOutArrays.erase(R.P->findSymbol("t"));
+  ExecStats Stats = R.check();
+  EXPECT_EQ(Stats.RacesFound, 300u) << "every t element lp wrote is lost";
+  ASSERT_FALSE(Stats.Races.empty());
+  for (const RaceRecord &Rec : Stats.Races) {
+    EXPECT_EQ(Rec.Var, "t") << Rec.str();
+    EXPECT_EQ(Rec.Kind, RaceKind::LastValueLoss) << Rec.str();
+  }
+}
+
 TEST(RaceCheck, DroppedInjectivityPremiseRaces) {
   // ind() maps pairs of iterations to the same element; a plan that
   // trusted a bogus injectivity fact produces write-write conflicts.

@@ -482,6 +482,46 @@ TEST(RuntimeCheckInspector, InjectiveSparseValuesUseSortFallback) {
   EXPECT_FALSE(inspectRuntimeCheck(C, F.Mem, 1, 4, nullptr, 1).Pass);
 }
 
+TEST(RuntimeCheckInspector, InjectiveExtremeValuesTakeTheSortPath) {
+  // Values near +-2^63: max - min + 1 overflows int64_t, so the value
+  // range cannot size a bitset and the sort path decides.
+  InspectorFixture F;
+  RuntimeCheck C;
+  C.Kind = RuntimeCheckKind::InjectiveOnRange;
+  C.Index = F.Ind;
+  const int64_t Big = 9000000000000000000;
+
+  F.setInd({Big, -Big, INT64_MAX, INT64_MIN, 0});
+  EXPECT_TRUE(inspectRuntimeCheck(C, F.Mem, 1, 5, nullptr, 1).Pass);
+
+  F.setInd({Big, -Big, INT64_MAX, INT64_MIN, -Big});
+  InspectionOutcome O = inspectRuntimeCheck(C, F.Mem, 1, 5, nullptr, 1);
+  EXPECT_FALSE(O.Pass);
+  EXPECT_NE(O.Detail.find(std::to_string(-Big)), std::string::npos)
+      << O.Detail;
+}
+
+TEST(RuntimeCheckInspector, OffsetLengthExtremeValuesOverlap) {
+  // A segment whose end lies past INT64_MAX still overlaps its successor:
+  // the end is computed without wrapping around to a negative value.
+  InspectorFixture F;
+  RuntimeCheck C;
+  C.Kind = RuntimeCheckKind::OffsetLengthDisjoint;
+  C.Index = F.Ind;
+  C.Length = F.Len;
+  C.HasHiLen = true;
+  C.AccessHiLen = -1; // Segment i spans [ind(i), ind(i) + len(i) - 1].
+
+  F.setInd({INT64_MAX - 10, INT64_MAX - 4});
+  F.setLen({6, 4});
+  EXPECT_TRUE(inspectRuntimeCheck(C, F.Mem, 1, 2, nullptr, 1).Pass);
+
+  F.setLen({INT64_MAX, 4});
+  InspectionOutcome O = inspectRuntimeCheck(C, F.Mem, 1, 2, nullptr, 1);
+  EXPECT_FALSE(O.Pass);
+  EXPECT_NE(O.Detail.find("overlap"), std::string::npos) << O.Detail;
+}
+
 TEST(RuntimeCheckInspector, BoundsAgainstConstantsAndArrayExtent) {
   InspectorFixture F;
   RuntimeCheck C;

@@ -26,6 +26,7 @@
 
 #include "benchprogs/Benchmarks.h"
 #include "interp/Interpreter.h"
+#include "prof/Profiler.h"
 #include "verify/FaultInjector.h"
 #include "vm/Bytecode.h"
 #include "vm/Compiler.h"
@@ -173,15 +174,10 @@ struct Harness {
 // Compiler: lowering, fusion, bailouts
 //===----------------------------------------------------------------------===//
 
-/// Per-symbol-id dimension extents for direct compileLoop calls, derived
-/// from an allocated Memory (rank-1 constant-extent test programs only).
+/// Per-symbol-id dimension extents for direct compileLoop calls, as an
+/// allocated Memory evaluated them.
 std::vector<std::vector<int64_t>> extentsOf(const Program &P) {
-  Memory M(P);
-  std::vector<std::vector<int64_t>> Out(P.numSymbols());
-  for (const Symbol *S : P.symbols())
-    if (S->isArray() && S->rank() == 1)
-      Out[S->id()] = {static_cast<int64_t>(M.buffer(S).size())};
-  return Out;
+  return Memory(P).extents();
 }
 
 TEST(VmCompile, GatherScatterFusesToSuperinstructions) {
@@ -337,10 +333,9 @@ TEST(VmCompile, InvariantsHoistIntoChunkPrologue) {
 }
 
 TEST(VmCompile, BailoutTaxonomy) {
-  // A call to an unresolved procedure is a structural bailout, found
-  // inside a while body too; the xform pre-check and the compiler must
-  // agree. The parser rejects undefined callees, so the call is detached
-  // after parsing.
+  // A call to an unresolved procedure is a bailout, found inside a while
+  // body too. The parser rejects undefined callees, so the call is
+  // detached after parsing.
   auto P = parseOrDie(R"(program t
     integer i, n, k
     real x(100)
@@ -360,18 +355,14 @@ TEST(VmCompile, BailoutTaxonomy) {
   ASSERT_NE(L, nullptr);
   auto *WS = cast<WhileStmt>(L->body()[1]);
   cast<CallStmt>(WS->body()[0])->setCallee(nullptr);
-  const char *Why = vm::structuralBailout(L);
-  ASSERT_NE(Why, nullptr);
-  EXPECT_NE(std::string(Why).find("unresolved"), std::string::npos) << Why;
   vm::CompileResult R = vm::compileLoop(L, extentsOf(*P));
   EXPECT_FALSE(R.Ok);
-  EXPECT_EQ(R.Bailout, Why);
+  EXPECT_NE(R.Bailout.find("unresolved"), std::string::npos) << R.Bailout;
 }
 
 TEST(VmCompile, WhileBodiesLower) {
   // TREE's array-stack walk (ACCEL/do10) and a while reached through an
-  // inlined call both lower: the pre-check finds nothing to bail on, the
-  // compiler agrees, and each while closes with one back-edge op.
+  // inlined call both lower, and each while closes with one back-edge op.
   benchprogs::BenchmarkProgram Tree = benchprogs::tree(0.05);
   Harness TreeH(Tree.Source);
   Harness CallH(R"(program t
@@ -395,11 +386,7 @@ TEST(VmCompile, WhileBodiesLower) {
   for (auto [H, Label] : {std::pair{&TreeH, "do10"}, std::pair{&CallH, "lp"}}) {
     const DoStmt *L = H->P->findLoop(Label);
     ASSERT_NE(L, nullptr) << Label;
-    const char *Why = vm::structuralBailout(L);
-    EXPECT_EQ(Why, nullptr) << Label << ": " << Why;
-    const xform::LoopPlan *Plan = H->Plan.planFor(L);
-    ASSERT_NE(Plan, nullptr) << Label;
-    EXPECT_TRUE(Plan->VmEligible) << Label << ": " << Plan->VmBailout;
+    ASSERT_NE(H->Plan.planFor(L), nullptr) << Label;
     vm::CompileResult R = vm::compileLoop(L, extentsOf(*H->P));
     ASSERT_TRUE(R.Ok) << Label << ": " << R.Bailout;
     std::string Dis = R.Prog.str();
@@ -407,13 +394,20 @@ TEST(VmCompile, WhileBodiesLower) {
   }
 }
 
-TEST(VmCompile, PlansMarkEligibility) {
+TEST(VmCompile, ConditionalPlansRunOnTheVm) {
+  // A runtime-conditional plan whose inspection passes dispatches on the
+  // VM: its loop compiles, and nothing bails.
   Harness H(PermutationScatter);
   const DoStmt *L = H.P->findLoop("scat");
   ASSERT_NE(L, nullptr);
-  const xform::LoopPlan *Cond = H.Plan.conditionalPlanFor(L);
-  ASSERT_NE(Cond, nullptr);
-  EXPECT_TRUE(Cond->VmEligible) << Cond->VmBailout;
+  ASSERT_NE(H.Plan.conditionalPlanFor(L), nullptr);
+  Interpreter I(*H.P);
+  ExecStats Stats;
+  I.run(H.baseOptions(4, ExecEngine::Vm), &Stats);
+  ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+  EXPECT_EQ(Stats.DispatchConditional, 1u);
+  EXPECT_GT(Stats.VmLoopsCompiled, 0u);
+  EXPECT_EQ(Stats.VmBailouts, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -654,16 +648,15 @@ TEST(VmEngine, UnsupportedBodyFallsBackPerLoop) {
   ASSERT_TRUE(Rep->Parallel) << Rep->WhyNot;
   const DoStmt *L = H.P->findLoop("lp");
   ASSERT_NE(L, nullptr);
-  const xform::LoopPlan *Plan = H.Plan.planFor(L);
-  ASSERT_NE(Plan, nullptr);
-  EXPECT_FALSE(Plan->VmEligible);
-  EXPECT_NE(Plan->VmBailout.find("too deep"), std::string::npos)
-      << Plan->VmBailout;
+  ASSERT_NE(H.Plan.planFor(L), nullptr);
 
   double Want = H.serialChecksum();
   Interpreter I(*H.P);
   ExecStats Stats;
-  Memory M = I.run(H.baseOptions(4, ExecEngine::Vm), &Stats);
+  prof::Session Prof;
+  ExecOptions Opts = H.baseOptions(4, ExecEngine::Vm);
+  Opts.Prof = &Prof;
+  Memory M = I.run(Opts, &Stats);
   ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
   EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), Want);
   EXPECT_GT(Stats.VmBailouts, 0u);
@@ -672,6 +665,13 @@ TEST(VmEngine, UnsupportedBodyFallsBackPerLoop) {
       << "the bailed lp must not dispatch";
   EXPECT_EQ(Stats.DispatchStatic, 1u) << "par";
   EXPECT_EQ(Stats.DispatchSerial, 1u) << "lp runs serially, uninspected";
+  bool SawLp = false;
+  for (const prof::LoopProfile &LP : Prof.invocations())
+    if (LP.Label == "lp") {
+      SawLp = true;
+      EXPECT_EQ(LP.Detail, "vm bailout: call chain too deep to inline");
+    }
+  EXPECT_TRUE(SawLp);
 }
 
 //===----------------------------------------------------------------------===//
